@@ -31,6 +31,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Any, Callable, NamedTuple
 
 from .angle import (
     ReducedAngle,
@@ -67,6 +68,7 @@ __all__ = [
     "verify_certificate_json",
     "certificate_to_tree",
     "certificate_from_tree",
+    "verdict_to_tree",
     "to_json",
     "from_json",
 ]
@@ -237,37 +239,24 @@ def certify(
     t_verdict, core = _tan2_steps(red, separation_bits)
     if function == "tan2":
         return Certificate(r, function, t_verdict, core)
-    if function == "tan":
-        steps: tuple[CertStep, ...] = (IdentityStep(TAN_RELATION), *core)
-        if t_verdict.kind == "exact":
-            root = rational_sqrt(t_verdict.value)
-            if root is None:
-                steps += (SqrtStep(t_verdict.value, None),)
-                verdict = IRRATIONAL
-            else:
-                verdict = TrigVerdict.exact(red.sign * root)
-        else:
-            verdict = t_verdict
-        return Certificate(r, function, verdict, steps)
     if function == "cos2":
-        steps = (IdentityStep(COS2_RELATION), *core)
-        verdict = _cos2_of(t_verdict)
-        return Certificate(r, function, verdict, steps)
-    # cos
-    steps = (IdentityStep(COS2_RELATION), IdentityStep(COS_RELATION), *core)
-    c2 = _cos2_of(t_verdict)
-    if c2.kind == "exact":
-        root = rational_sqrt(c2.value)
-        if root is None:
-            steps += (SqrtStep(c2.value, None),)
-            verdict = IRRATIONAL
-        else:
-            redc = reduce_for_cos(r)
-            sign = -1 if 2 * redc.d > redc.n else 1
-            verdict = TrigVerdict.exact(sign * root)
+        steps: tuple[CertStep, ...] = (IdentityStep(COS2_RELATION), *core)
+        return Certificate(r, function, _cos2_of(t_verdict), steps)
+    # tan and cos are signed square roots of tan^2 and cos^2
+    if function == "tan":
+        steps = (IdentityStep(TAN_RELATION), *core)
+        squared, sign = t_verdict, red.sign
     else:
-        verdict = IRRATIONAL
-    return Certificate(r, function, verdict, steps)
+        steps = (IdentityStep(COS2_RELATION), IdentityStep(COS_RELATION), *core)
+        redc = reduce_for_cos(r)
+        squared, sign = _cos2_of(t_verdict), -1 if 2 * redc.d > redc.n else 1
+    if squared.kind != "exact":
+        return Certificate(r, function, squared, steps)
+    root = rational_sqrt(squared.value)
+    if root is None:
+        steps += (SqrtStep(squared.value, None),)
+        return Certificate(r, function, IRRATIONAL, steps)
+    return Certificate(r, function, TrigVerdict.exact(sign * root), steps)
 
 
 def _cos2_of(t_verdict: TrigVerdict) -> TrigVerdict:
@@ -338,11 +327,7 @@ def exclude_candidate(
         iv = eval_tan_squared(angle, b)
         if iv.excludes(candidate):
             return Exclusion(
-                candidate,
-                "separation",
-                interval_lo=iv.lo,
-                interval_hi=iv.hi,
-                bits=b,
+                candidate, "separation", interval_lo=iv.lo, interval_hi=iv.hi, bits=b
             )
         b *= 2
     raise ArithmeticError(
@@ -392,13 +377,14 @@ def _entailed_verdict(cert: Certificate) -> TrigVerdict:
         return _core_tan2(r, steps)
     if cert.function == "tan":
         _expect_identity(steps, 0, TAN_RELATION)
-        return _tan_from_core(r, steps[1:])
+        return _root_from_core(r, steps[1:], lambda t: t, reduce_for_tan(r).sign)
     if cert.function == "cos2":
         _expect_identity(steps, 0, COS2_RELATION)
         return _cos2_of(_core_tan2(r, steps[1:]))
     _expect_identity(steps, 0, COS2_RELATION)
     _expect_identity(steps, 1, COS_RELATION)
-    return _cos_from_core(r, steps[2:])
+    redc = reduce_for_cos(r)
+    return _root_from_core(r, steps[2:], _cos2_of, -1 if 2 * redc.d > redc.n else 1)
 
 
 def _expect_identity(steps: tuple[CertStep, ...], i: int, relation: str) -> None:
@@ -497,352 +483,223 @@ def _check_quadratic_step(step: BackwardQuadraticStep, stop: int) -> None:
         raise _Fail("verdict not entailed")
 
 
-def _tan_from_core(r: Fraction, rest: tuple[CertStep, ...]) -> TrigVerdict:
-    red = reduce_for_tan(r)
-    if rest and isinstance(rest[-1], SqrtStep):
-        sq = rest[-1]
-        t = _core_tan2(r, rest[:-1])
-        if t.kind != "exact":
+def _root_from_core(
+    r: Fraction, rest: tuple[CertStep, ...], square_of: Callable, sign: int
+) -> TrigVerdict:
+    """Verdict on sign * sqrt(square_of(tan^2)), from the steps after the identities.
+
+    A square that is not exact (a pole or irrational) carries over unchanged.
+    """
+    has_sqrt = bool(rest) and isinstance(rest[-1], SqrtStep)
+    squared = square_of(_core_tan2(r, rest[:-1] if has_sqrt else rest))
+    if squared.kind != "exact":
+        if has_sqrt:
             raise _Fail("square-root step without an exact square")
-        _check_sqrt_step(sq, t.value)
-        return IRRATIONAL
-    t = _core_tan2(r, rest)
-    if t.kind != "exact":
-        return t
-    root = rational_sqrt(t.value)
-    if root is None:
-        raise _Fail("missing square-root step")
-    return TrigVerdict.exact(red.sign * root)
-
-
-def _cos_from_core(r: Fraction, rest: tuple[CertStep, ...]) -> TrigVerdict:
-    if rest and isinstance(rest[-1], SqrtStep):
-        sq = rest[-1]
-        c2 = _cos2_of(_core_tan2(r, rest[:-1]))
-        if c2.kind != "exact":
-            raise _Fail("square-root step without an exact square")
-        _check_sqrt_step(sq, c2.value)
-        return IRRATIONAL
-    c2 = _cos2_of(_core_tan2(r, rest))
-    if c2.kind != "exact":
-        return IRRATIONAL
-    root = rational_sqrt(c2.value)
-    if root is None:
-        raise _Fail("missing square-root step")
-    redc = reduce_for_cos(r)
-    sign = -1 if 2 * redc.d > redc.n else 1
-    return TrigVerdict.exact(sign * root)
-
-
-def _check_sqrt_step(step: SqrtStep, radicand: Fraction) -> None:
-    if step.radicand != radicand:
+        return squared
+    root = rational_sqrt(squared.value)
+    if not has_sqrt:
+        if root is None:
+            raise _Fail("missing square-root step")
+        return TrigVerdict.exact(sign * root)
+    step = rest[-1]
+    if step.radicand != squared.value:
         raise _Fail("radicand mismatch")
-    witness = rational_sqrt(radicand)
-    if step.square_test_result != witness:
+    if step.square_test_result != root:
         raise _Fail("square test mismatch")
-    if witness is not None:
+    if root is not None:
         raise _Fail("verdict not entailed")
+    return IRRATIONAL
 
 
 # ------------------------------------------------------------ wire --------
+# One table (_ANGLE ... _CERTIFICATE) drives both directions.  Decoders raise _Bad,
+# which gathers the JSON path as it unwinds: valid input builds no path strings.
 
 
 class CertificateFormatError(ValueError):
     """Malformed certificate tree or JSON text."""
 
 
-_INT_RE = re.compile(r"-?[0-9]+\Z")
-_RAT_RE = re.compile(r"-?[0-9]+/[0-9]+\Z")
+class _Bad(Exception):
+    """args: the message, then the JSON path segments, innermost first."""
 
 
-def _int_to_wire(v: int) -> str:
-    return str(v)
+class _Codec(NamedTuple):  # to a JSON value and back; dec raises _Bad
+    enc: Callable[[Any], Any]
+    dec: Callable[[Any], Any]
 
 
-def _rat_to_wire(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+# canonical numbers: no leading zeros, no -0, denominator >= 1, lowest terms
+_INT_RE = re.compile(r"0|-?[1-9][0-9]*")
+_RAT_RE = re.compile(r"(0|-?[1-9][0-9]*)/([1-9][0-9]*)")
 
 
-def _int_from_wire(v: object, what: str) -> int:
-    if not isinstance(v, str) or not _INT_RE.match(v):
-        raise CertificateFormatError(f"{what}: expected a decimal integer string")
-    parsed = int(v)
-    if str(parsed) != v:
-        raise CertificateFormatError(f"{what}: not in canonical form")
-    return parsed
+def _parse_int(digits: str) -> int:  # every wire number goes through here
+    try:
+        return int(digits)
+    except ValueError:  # over the interpreter's int-from-string digit limit
+        raise _Bad("too many digits") from None
 
 
-def _rat_from_wire(v: object, what: str) -> Fraction:
-    if not isinstance(v, str) or not _RAT_RE.match(v):
-        raise CertificateFormatError(f"{what}: expected a num/den string")
-    num_s, den_s = v.split("/")
-    den = int(den_s)
-    if den == 0:
-        raise CertificateFormatError(f"{what}: zero denominator")
-    x = Fraction(int(num_s), den)
-    if _rat_to_wire(x) != v:
-        raise CertificateFormatError(f"{what}: not in lowest terms")
-    return x
+def _dec_int(v: object) -> int:
+    if not isinstance(v, str) or not _INT_RE.fullmatch(v):
+        raise _Bad("expected a canonical integer string")
+    return _parse_int(v)
 
 
-def _json_int(v: object, what: str) -> int:
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise CertificateFormatError(f"{what}: expected an integer")
+def _dec_rat(v: object) -> Fraction:
+    m = _RAT_RE.fullmatch(v) if isinstance(v, str) else None
+    if m is None:
+        raise _Bad("expected a canonical num/den string")
+    num, den = _parse_int(m[1]), _parse_int(m[2])
+    if gcd(num, den) != 1:
+        raise _Bad("not in lowest terms")
+    return Fraction(num, den)
+
+
+def _expect(ok: bool, v: Any, what: str) -> Any:
+    if not ok:
+        raise _Bad(f"expected {what}")
     return v
 
 
-def _expect_keys(tree: object, keys: set[str], what: str) -> dict:
-    if not isinstance(tree, dict):
-        raise CertificateFormatError(f"{what}: expected an object")
-    if set(tree) != keys:
-        raise CertificateFormatError(
-            f"{what}: fields must be exactly {sorted(keys)}, got {sorted(tree)}"
-        )
-    return tree
+def _list(item: _Codec, length: int | None = None) -> _Codec:
+    item_enc, item_dec = item
+
+    def dec(v: object) -> tuple:
+        if not isinstance(v, list) or length not in (None, len(v)):
+            raise _Bad("expected a list" + (f" of {length} items" if length else ""))
+        out = []
+        for i, x in enumerate(v):
+            try:
+                out.append(item_dec(x))
+            except _Bad as e:
+                e.args += (f"[{i}]",)
+                raise
+        return tuple(out)
+
+    return _Codec(lambda xs: list(map(item_enc, xs)), dec)
 
 
-def _angle_to_tree(a: ReducedAngle) -> dict:
-    return {"d": _int_to_wire(a.d), "n": _int_to_wire(a.n), "sign": a.sign}
+_INT = _Codec(str, _dec_int)
+_INT_FRAC = _Codec(str, lambda v: Fraction(_dec_int(v)))  # str(Fraction(n)) == str(n)
+_RAT = _Codec(lambda x: f"{x.numerator}/{x.denominator}", _dec_rat)
+_OPT_RAT = _Codec(
+    lambda x: None if x is None else _RAT.enc(x),
+    lambda v: None if v is None else _dec_rat(v),
+)
+# JSON scalars; int() and str() hand back their argument unchanged, at C speed
+_JSON_INT = _Codec(int, lambda v: _expect(type(v) is int, v, "an integer"))
+_STR = _Codec(str, lambda v: _expect(isinstance(v, str), v, "a string"))
+_Field = tuple[str, str, _Codec]  # (wire key, dataclass attribute, codec)
 
 
-def _angle_from_tree(tree: object, what: str) -> ReducedAngle:
-    t = _expect_keys(tree, {"d", "n", "sign"}, what)
-    sign = _json_int(t["sign"], f"{what}.sign")
-    try:
-        return ReducedAngle(
-            _int_from_wire(t["d"], f"{what}.d"),
-            _int_from_wire(t["n"], f"{what}.n"),
-            sign,
-        )
-    except ValueError as e:
-        raise CertificateFormatError(f"{what}: {e}") from None
+def _record(tag_key: str | None, tag_attr: str | None,
+            variants: list[tuple[object, type, list[_Field]]]) -> _Codec:
+    """Codec for one record kind, from its variants (tag, dataclass, fields).
+
+    The tag sits under tag_key (None: one untagged variant).  The dataclass's
+    tag_attr, if set, holds the tag too; else the dataclass picks the variant.
+    """
+    specs = {}
+    for tag, cls, fields in variants:
+        head = {} if tag_key is None else {tag_key: tag}
+        keys = set(head) | {key for key, _, _ in fields}
+        specs[tag] = cls, head, keys, [(k, a, c.enc, c.dec) for k, a, c in fields]
+    tag_of_cls = {cls: tag for tag, cls, _ in variants}
+
+    def enc(obj: Any) -> dict:
+        tag = tag_of_cls[type(obj)] if tag_attr is None else getattr(obj, tag_attr)
+        _, head, _, fields = specs[tag]
+        tree = head.copy()
+        for key, attr, field_enc, _ in fields:
+            tree[key] = field_enc(getattr(obj, attr))
+        return tree
+
+    def dec(tree: object) -> Any:
+        if not isinstance(tree, dict):
+            raise _Bad("expected an object")
+        tag = None if tag_key is None else tree.get(tag_key)
+        # bool, float and unhashable tags select no variant
+        spec = specs.get(tag) if type(tag) in (str, int, type(None)) else None
+        if spec is None:
+            raise _Bad(f"unsupported {tag_key} {tag!r}")
+        cls, _, keys, fields = spec
+        if tree.keys() != keys:
+            got = sorted(map(str, tree))  # a Python tree may have non-string keys
+            raise _Bad(f"fields must be exactly {sorted(keys)}, got {got}")
+        kwargs = {} if tag_attr is None else {tag_attr: tag}
+        for key, attr, _, field_dec in fields:
+            try:
+                kwargs[attr] = field_dec(tree[key])
+            except _Bad as e:
+                e.args += (f".{key}",)
+                raise
+        try:
+            return cls(**kwargs)
+        except ValueError as e:  # the dataclass's own invariants
+            raise _Bad(str(e)) from None
+
+    return _Codec(enc, dec)
 
 
-def _opt_rat_to_wire(x: Fraction | None) -> str | None:
-    return None if x is None else _rat_to_wire(x)
-
-
-def _opt_rat_from_wire(v: object, what: str) -> Fraction | None:
-    return None if v is None else _rat_from_wire(v, what)
-
-
-def _exclusion_to_tree(e: Exclusion) -> dict:
-    if e.method == "nonroot":
-        assert e.q_value is not None
-        return {
-            "candidate": _int_to_wire(_as_int(e.candidate)),
-            "method": "nonroot",
-            "Q_value": _int_to_wire(_as_int(e.q_value)),
-        }
-    assert e.interval_lo is not None and e.interval_hi is not None
-    return {
-        "candidate": _int_to_wire(_as_int(e.candidate)),
-        "method": "separation",
-        "interval_lo": _rat_to_wire(e.interval_lo),
-        "interval_hi": _rat_to_wire(e.interval_hi),
-        "bits": e.bits,
-    }
-
-
-def _as_int(x: Fraction) -> int:
-    if x.denominator != 1:
-        raise ValueError(f"{x} is not an integer")
-    return x.numerator
-
-
-def _exclusion_from_tree(tree: object, what: str) -> Exclusion:
-    if not isinstance(tree, dict):
-        raise CertificateFormatError(f"{what}: expected an object")
-    method = tree.get("method")
-    if method == "nonroot":
-        t = _expect_keys(tree, {"candidate", "method", "Q_value"}, what)
-        return Exclusion(
-            Fraction(_int_from_wire(t["candidate"], f"{what}.candidate")),
-            "nonroot",
-            q_value=Fraction(_int_from_wire(t["Q_value"], f"{what}.Q_value")),
-        )
-    if method == "separation":
-        t = _expect_keys(
-            tree, {"candidate", "method", "interval_lo", "interval_hi", "bits"}, what
-        )
-        bits = _json_int(t["bits"], f"{what}.bits")
-        return Exclusion(
-            Fraction(_int_from_wire(t["candidate"], f"{what}.candidate")),
-            "separation",
-            interval_lo=_rat_from_wire(t["interval_lo"], f"{what}.interval_lo"),
-            interval_hi=_rat_from_wire(t["interval_hi"], f"{what}.interval_hi"),
-            bits=bits,
-        )
-    raise CertificateFormatError(f"{what}: unknown exclusion method {method!r}")
-
-
-def _step_to_tree(step: CertStep) -> dict:
-    if isinstance(step, BaseStep):
-        return {
-            "type": "base",
-            "angle": _angle_to_tree(step.angle),
-            "value": _opt_rat_to_wire(step.value),
-        }
-    if isinstance(step, ChainStep):
-        return {"type": "chain", "angles": [_angle_to_tree(a) for a in step.angles]}
-    if isinstance(step, PolyStep):
-        return {
-            "type": "poly",
-            "q": _int_to_wire(step.q),
-            "coeffs": [_int_to_wire(c) for c in step.coeffs],
-            "candidates": [_int_to_wire(c) for c in step.candidates],
-            "exclusions": [_exclusion_to_tree(e) for e in step.exclusions],
-        }
-    if isinstance(step, BackwardQuadraticStep):
-        return {
-            "type": "backward_quadratic",
-            "den": _int_to_wire(step.den),
-            "D": _rat_to_wire(step.d_value),
-            "quad_coeffs": [_int_to_wire(c) for c in step.quad_coeffs],
-            "discriminant": _int_to_wire(step.discriminant),
-            "square_witness": _opt_rat_to_wire(step.square_witness),
-        }
-    if isinstance(step, SqrtStep):
-        return {
-            "type": "sqrt_step",
-            "radicand": _rat_to_wire(step.radicand),
-            "square_test_result": _opt_rat_to_wire(step.square_test_result),
-        }
-    return {"type": "identity_step", "relation": step.relation}
-
-
-def _step_from_tree(tree: object, what: str) -> CertStep:
-    if not isinstance(tree, dict):
-        raise CertificateFormatError(f"{what}: expected an object")
-    tag = tree.get("type")
-    try:
-        if tag == "base":
-            t = _expect_keys(tree, {"type", "angle", "value"}, what)
-            return BaseStep(
-                _angle_from_tree(t["angle"], f"{what}.angle"),
-                _opt_rat_from_wire(t["value"], f"{what}.value"),
-            )
-        if tag == "chain":
-            t = _expect_keys(tree, {"type", "angles"}, what)
-            if not isinstance(t["angles"], list):
-                raise CertificateFormatError(f"{what}.angles: expected a list")
-            return ChainStep(
-                tuple(
-                    _angle_from_tree(a, f"{what}.angles[{i}]")
-                    for i, a in enumerate(t["angles"])
-                )
-            )
-        if tag == "poly":
-            t = _expect_keys(
-                tree, {"type", "q", "coeffs", "candidates", "exclusions"}, what
-            )
-            for key in ("coeffs", "candidates", "exclusions"):
-                if not isinstance(t[key], list):
-                    raise CertificateFormatError(f"{what}.{key}: expected a list")
-            return PolyStep(
-                _int_from_wire(t["q"], f"{what}.q"),
-                tuple(
-                    _int_from_wire(c, f"{what}.coeffs[{i}]")
-                    for i, c in enumerate(t["coeffs"])
-                ),
-                tuple(
-                    _int_from_wire(c, f"{what}.candidates[{i}]")
-                    for i, c in enumerate(t["candidates"])
-                ),
-                tuple(
-                    _exclusion_from_tree(e, f"{what}.exclusions[{i}]")
-                    for i, e in enumerate(t["exclusions"])
-                ),
-            )
-        if tag == "backward_quadratic":
-            t = _expect_keys(
-                tree,
-                {"type", "den", "D", "quad_coeffs", "discriminant", "square_witness"},
-                what,
-            )
-            if not isinstance(t["quad_coeffs"], list) or len(t["quad_coeffs"]) != 3:
-                raise CertificateFormatError(
-                    f"{what}.quad_coeffs: expected three coefficients"
-                )
-            c0, c1, c2 = (
-                _int_from_wire(c, f"{what}.quad_coeffs[{i}]")
-                for i, c in enumerate(t["quad_coeffs"])
-            )
-            return BackwardQuadraticStep(
-                _int_from_wire(t["den"], f"{what}.den"),
-                _rat_from_wire(t["D"], f"{what}.D"),
-                (c0, c1, c2),
-                _int_from_wire(t["discriminant"], f"{what}.discriminant"),
-                _opt_rat_from_wire(t["square_witness"], f"{what}.square_witness"),
-            )
-        if tag == "sqrt_step":
-            t = _expect_keys(tree, {"type", "radicand", "square_test_result"}, what)
-            return SqrtStep(
-                _rat_from_wire(t["radicand"], f"{what}.radicand"),
-                _opt_rat_from_wire(
-                    t["square_test_result"], f"{what}.square_test_result"
-                ),
-            )
-        if tag == "identity_step":
-            t = _expect_keys(tree, {"type", "relation"}, what)
-            if not isinstance(t["relation"], str):
-                raise CertificateFormatError(f"{what}.relation: expected a string")
-            return IdentityStep(t["relation"])
-    except ValueError as e:
-        if isinstance(e, CertificateFormatError):
-            raise
-        raise CertificateFormatError(f"{what}: {e}") from None
-    raise CertificateFormatError(f"{what}: unknown step type {tag!r}")
-
-
-def _verdict_to_tree(v: TrigVerdict) -> dict:
-    if v.kind == "exact":
-        return {"kind": "exact", "value": _rat_to_wire(v.value)}
-    return {"kind": v.kind}
-
-
-def _verdict_from_tree(tree: object) -> TrigVerdict:
-    if not isinstance(tree, dict):
-        raise CertificateFormatError("verdict: expected an object")
-    kind = tree.get("kind")
-    if kind == "exact":
-        t = _expect_keys(tree, {"kind", "value"}, "verdict")
-        return TrigVerdict.exact(_rat_from_wire(t["value"], "verdict.value"))
-    if kind in ("pole", "irrational"):
-        _expect_keys(tree, {"kind"}, "verdict")
-        return POLE if kind == "pole" else IRRATIONAL
-    raise CertificateFormatError(f"verdict: unknown kind {kind!r}")
+_ANGLE = _record(None, None, [
+    (None, ReducedAngle, [
+        ("d", "d", _INT), ("n", "n", _INT), ("sign", "sign", _JSON_INT)]),
+])
+_EXCLUSION = _record("method", "method", [
+    ("nonroot", Exclusion, [
+        ("candidate", "candidate", _INT_FRAC), ("Q_value", "q_value", _INT_FRAC)]),
+    ("separation", Exclusion, [
+        ("candidate", "candidate", _INT_FRAC), ("interval_lo", "interval_lo", _RAT),
+        ("interval_hi", "interval_hi", _RAT), ("bits", "bits", _JSON_INT)]),
+])
+_STEP = _record("type", None, [
+    ("base", BaseStep, [("angle", "angle", _ANGLE), ("value", "value", _OPT_RAT)]),
+    ("chain", ChainStep, [("angles", "angles", _list(_ANGLE))]),
+    ("poly", PolyStep, [
+        ("q", "q", _INT), ("coeffs", "coeffs", _list(_INT)),
+        ("candidates", "candidates", _list(_INT)),
+        ("exclusions", "exclusions", _list(_EXCLUSION))]),
+    ("backward_quadratic", BackwardQuadraticStep, [
+        ("den", "den", _INT), ("D", "d_value", _RAT),
+        ("quad_coeffs", "quad_coeffs", _list(_INT, 3)),
+        ("discriminant", "discriminant", _INT),
+        ("square_witness", "square_witness", _OPT_RAT)]),
+    ("sqrt_step", SqrtStep, [
+        ("radicand", "radicand", _RAT),
+        ("square_test_result", "square_test_result", _OPT_RAT)]),
+    ("identity_step", IdentityStep, [("relation", "relation", _STR)]),
+])
+_VERDICT = _record("kind", "kind", [
+    ("exact", TrigVerdict, [("value", "value", _RAT)]),
+    ("pole", TrigVerdict, []),
+    ("irrational", TrigVerdict, []),
+])
+verdict_to_tree = _VERDICT.enc  # {"kind": ...}, plus "value" when exact
+_CERTIFICATE = _record("version", None, [
+    (WIRE_VERSION, Certificate, [
+        ("input", "input", _RAT), ("function", "function", _STR),
+        ("verdict", "verdict", _VERDICT), ("steps", "steps", _list(_STEP))]),
+])
 
 
 def certificate_to_tree(cert: Certificate) -> dict:
     """JSON-compatible tree with all big numbers as decimal strings."""
-    return {
-        "version": WIRE_VERSION,
-        "input": _rat_to_wire(cert.input),
-        "function": cert.function,
-        "verdict": _verdict_to_tree(cert.verdict),
-        "steps": [_step_to_tree(s) for s in cert.steps],
-    }
+    return _CERTIFICATE.enc(cert)
 
 
 def certificate_from_tree(tree: object) -> Certificate:
-    """Strict inverse of certificate_to_tree; raises CertificateFormatError."""
-    t = _expect_keys(
-        tree, {"version", "input", "function", "verdict", "steps"}, "certificate"
-    )
-    if _json_int(t["version"], "version") != WIRE_VERSION:
-        raise CertificateFormatError(f"unsupported version {t['version']!r}")
-    function = t["function"]
-    if function not in FUNCTIONS:
-        raise CertificateFormatError(f"unknown function {function!r}")
-    if not isinstance(t["steps"], list):
-        raise CertificateFormatError("steps: expected a list")
-    return Certificate(
-        _rat_from_wire(t["input"], "input"),
-        function,
-        _verdict_from_tree(t["verdict"]),
-        tuple(_step_from_tree(s, f"steps[{i}]") for i, s in enumerate(t["steps"])),
-    )
+    """Strict inverse of certificate_to_tree; raises CertificateFormatError.
+
+    The message starts with a JSON path, such as steps[1].exclusions[2].Q_value.
+    """
+    try:
+        return _CERTIFICATE.dec(tree)
+    except _Bad as e:
+        msg, *path = e.args
+        where = "".join(reversed(path)).lstrip(".") or "certificate"
+        raise CertificateFormatError(f"{where}: {msg}") from None
 
 
 def to_json(cert: Certificate, indent: int | None = None) -> str:
@@ -852,7 +709,7 @@ def to_json(cert: Certificate, indent: int | None = None) -> str:
 def from_json(text: str) -> Certificate:
     try:
         tree = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # ValueError: also huge int literals
         raise CertificateFormatError(f"invalid JSON: {e}") from None
     return certificate_from_tree(tree)
 

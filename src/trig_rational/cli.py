@@ -14,10 +14,11 @@ import sys
 from fractions import Fraction
 from multiprocessing import Pool
 
-from .certifier import certify, to_json, verify_certificate, verify_certificate_json
+from .certifier import certify, to_json, verdict_to_tree
+from .certifier import verify_certificate, verify_certificate_json
 from .classifier import FUNCTIONS, TrigVerdict, classify
 from .exact_core import gcd
-from .highprec import crosscheck
+from .highprec import MAX_BITS, MIN_BITS, crosscheck
 from .angle import reduce_for_cos, reduce_for_tan
 from .polynomial import tan_squared_poly
 
@@ -50,10 +51,11 @@ def _verdict_text(v: TrigVerdict) -> str:
     return v.kind
 
 
-def _verdict_tree(v: TrigVerdict) -> dict:
-    if v.kind == "exact":
-        return {"kind": "exact", "value": f"{v.value.numerator}/{v.value.denominator}"}
-    return {"kind": v.kind}
+def _bits(text: str) -> int:
+    """--bits, checked at parse time, before any work."""
+    if re.fullmatch(r"[0-9]{1,5}", text) and MIN_BITS <= int(text) <= MAX_BITS:
+        return int(text)
+    raise argparse.ArgumentTypeError(f"expected an integer in [{MIN_BITS}, {MAX_BITS}]")
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
@@ -64,7 +66,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
             "input": f"{r.numerator}/{r.denominator}",
             "function": args.function,
             "reduced": _human_angle(r, args.function),
-            "verdict": _verdict_tree(verdict),
+            "verdict": verdict_to_tree(verdict),
         }
         print(json.dumps(tree, sort_keys=True))
     else:
@@ -145,7 +147,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     tasks = [(n, args.crosscheck, args.bits) for n in range(1, args.max_den + 1)]
     totals = {f: {"pole": 0, "exact": 0, "irrational": 0} for f in FUNCTIONS}
     failures: list[str] = []
-    angles = 0
     if args.jobs > 1:
         with Pool(processes=args.jobs) as pool:
             results = list(pool.imap(_scan_denominator, tasks, chunksize=8))
@@ -183,8 +184,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="print a verdict certificate as JSON")
     p.add_argument("angle", help="rational multiple of pi, as d/n")
     p.add_argument("--function", choices=FUNCTIONS, default="tan2")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--bits", type=int, default=128, help="separation precision")
+    p.add_argument("--bits", type=_bits, default=128, help="separation precision")
     p.add_argument(
         "--verify", action="store_true", help="re-verify before printing"
     )
@@ -198,7 +198,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="sweep all reduced angles up to a denominator")
     p.add_argument("--max-den", type=int, required=True)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--bits", type=int, default=128)
+    p.add_argument("--bits", type=_bits, default=128)
     p.add_argument(
         "--crosscheck", action="store_true", help="also cross-check numerically"
     )

@@ -51,13 +51,12 @@ class IntPolynomial:
 def tan_poly(n: int) -> IntPolynomial:
     """Degree n-1 polynomial with roots tan(k*pi/n), k = 1..n-1, for odd n >= 3.
 
-    Only even powers occur: the coefficient of X^(2j) is (-1)^(m+j) * C(n, 2j+1)
-    with m = (n-1)/2.
+    Only even powers occur, and the coefficient of X^(2j) is that of X^j in
+    tan_squared_poly(n).
     """
-    m = _check_odd(n)
-    coeffs = [0] * (2 * m + 1)
-    for j in range(m + 1):
-        coeffs[2 * j] = (-1) ** (m + j) * binomial(n, 2 * j + 1)
+    squared = tan_squared_poly(n).coeffs
+    coeffs = [0] * (2 * len(squared) - 1)
+    coeffs[::2] = squared
     return IntPolynomial(tuple(coeffs))
 
 

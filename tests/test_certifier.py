@@ -1,11 +1,13 @@
 """Tests for certificate generation, verification and the wire format."""
 
+import hashlib
 import json
 import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import _mutation
 from trig_rational.angle import ReducedAngle
@@ -21,6 +23,7 @@ from trig_rational.certifier import (
     IdentityStep,
     PolyStep,
     SqrtStep,
+    certificate_from_tree,
     certificate_to_tree,
     certify,
     exclude_candidate,
@@ -594,6 +597,21 @@ def test_parser_rejects_malformed_trees():
     assert not verify_certificate_json("[]").ok
     assert not verify_certificate_json('"1/6"').ok
 
+    # numbers over the int-from-string digit limit, and nesting past the
+    # recursion limit, are format errors rather than exceptions
+    t = _tree()
+    t["input"] = "1/" + "7" * 5000
+    reject(t, "input over the digit limit")
+    t = _tree()
+    t["verdict"]["value"] = "1/" + "7" * 5000
+    reject(t, "verdict value over the digit limit")
+    for text in ('{"version": ' + "9" * 5000 + "}", "[" * 100000 + "]" * 100000):
+        assert not verify_certificate_json(text).ok
+        with pytest.raises(CertificateFormatError):
+            from_json(text)
+    with pytest.raises(CertificateFormatError):
+        certificate_from_tree({**_tree(), 1: "non-string key"})
+
 
 def test_json_round_trip_sweep():
     for n in range(1, 61):
@@ -645,3 +663,85 @@ def test_mutation_helper_targets_numbers_only():
     # top-level fields stay untouched
     for path, _ in sites:
         assert path[0] in ("verdict", "steps")
+
+
+def test_format_errors_name_the_json_path():
+    exc = ("steps", 1, "exclusions")
+    cases = [
+        ((*exc, 2, "Q_value"), "1/2", "steps[1].exclusions[2].Q_value"),
+        ((*exc, 1, "bits"), 1.5, "steps[1].exclusions[1].bits"),
+        ((*exc, 1, "interval_lo"), "-0/1", "steps[1].exclusions[1].interval_lo"),
+        ((*exc, 0, "method"), None, "steps[1].exclusions[0]"),
+        (("steps", 1, "coeffs", 3), "007", "steps[1].coeffs[3]"),
+        (("steps", 0, "angles", 0, "sign"), True, "steps[0].angles[0].sign"),
+        (("verdict", "kind"), ["irrational"], "verdict"),
+        (("input",), "2/30", "input"),
+        (("version",), 2, "certificate"),
+    ]
+    for path, value, where in cases:
+        tree = _tree(Fraction(1, 15))
+        node = tree
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        res = verify_certificate_json(json.dumps(tree))
+        assert res.reason.startswith(where + ": "), (path, res.reason)
+
+
+def test_wire_bytes_are_pinned():
+    # every reduced angle with denominator <= 30, all four functions: every
+    # step type and both exclusion methods, byte for byte
+    digest = hashlib.sha256()
+    for n in range(1, 31):
+        for d in range(n):
+            if gcd(d, n) == 1:
+                for f in FUNCTIONS:
+                    digest.update(to_json(certify(Fraction(d, n), f)).encode())
+    assert digest.hexdigest() == (
+        "887c042031ab4682ea0ed2d5fce2fcc8d1a8355489aa945d726d69d0d36d88f3"
+    )
+
+
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=6)
+    | st.from_regex(r"-?[0-9]{1,3}(/[0-9]{1,3})?", fullmatch=True),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+_PROPERTY_CASES = [
+    (Fraction(1, 15), "tan2"),
+    (Fraction(1, 24), "cos2"),
+    (Fraction(1, 3), "tan"),
+    (Fraction(1, 4), "cos"),
+]
+
+
+def _paths(node, path=()):
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _paths(child, path + (key,))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.data())
+def test_verify_json_never_raises(data):
+    r, f = data.draw(st.sampled_from(_PROPERTY_CASES))
+    tree = certificate_to_tree(certify(r, f))
+    # the empty path swaps the whole certificate for a random JSON tree
+    path = data.draw(st.sampled_from(list(_paths(tree))))
+    value = data.draw(_JSON_VALUES)
+    if path:
+        node = tree
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    else:
+        tree = value
+    res = verify_certificate_json(json.dumps(tree))
+    assert isinstance(res.ok, bool) and (res.ok or res.reason)

@@ -58,6 +58,19 @@ def test_usage_errors(capsys):
     capsys.readouterr()
     assert run(["--help"]) == 0
     capsys.readouterr()
+    # --bits is checked before any work, whatever the angle
+    for argv in (
+        ["certify", "1/5", "--bits", "5000"],
+        ["certify", "1/15", "--bits", "5000"],
+        ["certify", "1/5", "--bits", "3"],
+        ["certify", "1/15", "--bits", "3"],
+        ["certify", "1/15", "--bits", "many"],
+        ["scan", "--max-den", "15", "--bits", "7"],
+        ["scan", "--max-den", "15", "--bits", "4097"],
+        ["certify", "1/5", "--json"],
+    ):
+        assert run(argv) == 2, argv
+        assert "error:" in capsys.readouterr().err
 
 
 def test_poly_command(capsys):
@@ -121,6 +134,15 @@ def test_verify_command_stdin(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO("{}"))
     assert run(["verify"]) == 1
     assert capsys.readouterr().out.startswith("fail:")
+
+
+def test_verify_command_hostile_input(capsys, monkeypatch):
+    tree = json.loads(to_json(certify(Fraction(1, 6))))
+    tree["input"] = "1/" + "7" * 5000
+    for text in (json.dumps(tree), "[" * 100000 + "]" * 100000):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        assert run(["verify"]) == 1
+        assert capsys.readouterr().out.startswith("fail:")
 
 
 def test_scan_command(capsys):
