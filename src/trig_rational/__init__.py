@@ -3,8 +3,9 @@
 The library answers, in exact arithmetic, whether f(r * pi) is a pole, a
 rational number (and which one), or irrational, for rational r and
 f in {tan^2, tan, cos^2, cos}; it can emit a step-by-step certificate of
-the answer and independently verify such certificates, backed by certified
-interval evaluation with exact rational endpoints.
+the answer and independently verify such certificates.  Certified interval
+evaluation with exact rational endpoints cross-checks the verdicts
+numerically.
 """
 
 from .angle import (

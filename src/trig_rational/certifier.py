@@ -11,17 +11,19 @@ re-check the claim with no trust in the classifier:
   * poly step: for odd denominator q >= 5, one more doubling lands on a root
     s of a monic integer polynomial; the rational root theorem confines any
     rational s to the positive divisors of q, and each divisor is ruled out
-    either by exact evaluation (not a root) or by a certified interval
-    around s (a root, but a different one).
+    either by exact evaluation (not a root) or by an exact angle comparison
+    (a root, but tan^2 at a base angle, which is not s's angle).
   * backward quadratic step: for denominators 8 * 2^a and 12 * 2^a the chain
     stops at 8 or 12, where one more doubling hits a known exact value D;
     a rational tan^2 would then be a rational root of an integer quadratic
     whose discriminant is not a perfect square.
   * identity and square-root steps tie tan, cos and cos^2 back to tan^2.
 
-Serialization is strict JSON: arbitrary-precision integers and rationals
-travel as decimal strings (rationals as "num/den" in lowest terms), and the
-verifier rejects unknown fields, non-canonical numbers and version drift.
+Every step is exact: no interval arithmetic is involved.  Serialization is
+strict JSON: arbitrary-precision integers and rationals travel as decimal
+strings (rationals as "num/den" in lowest terms), and the verifier rejects
+unknown fields, non-canonical numbers and version drift.  Data the verifier
+recomputes anyway (the polynomial, the divisor list) is not on the wire.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from .angle import (
 )
 from .classifier import FUNCTIONS, IRRATIONAL, POLE, TrigVerdict
 from .exact_core import divisors, gcd, rational_sqrt
-from .highprec import MAX_BITS, MIN_BITS, eval_tan_squared
 from .polynomial import tan_squared_poly
 
 __all__ = [
@@ -73,7 +74,7 @@ __all__ = [
     "from_json",
 ]
 
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 
 TAN_RELATION = "tan2 = tan^2"
 COS2_RELATION = "cos2 = 1/(1+tan2)"
@@ -110,49 +111,30 @@ class Exclusion:
     """Why one divisor candidate cannot equal s.
 
     nonroot records the exact polynomial value at the candidate (nonzero);
-    separation records a certified interval around s that misses the
-    candidate, together with the precision used.
+    angle records nothing more: the candidate is tan^2 at a base angle whose
+    denominator differs from s's, so it is a different root than s.
     """
 
     candidate: Fraction
-    method: str  # "nonroot" | "separation"
+    method: str  # "nonroot" | "angle"
     q_value: Fraction | None = None
-    interval_lo: Fraction | None = None
-    interval_hi: Fraction | None = None
-    bits: int | None = None
 
     def __post_init__(self) -> None:
-        if self.method == "nonroot":
-            ok = (
-                self.q_value is not None
-                and self.interval_lo is None
-                and self.interval_hi is None
-                and self.bits is None
-            )
-        elif self.method == "separation":
-            ok = (
-                self.q_value is None
-                and self.interval_lo is not None
-                and self.interval_hi is not None
-                and self.bits is not None
-            )
-        else:
+        if self.method not in ("nonroot", "angle"):
             raise ValueError(f"unknown exclusion method {self.method!r}")
-        if not ok:
+        if (self.q_value is None) != (self.method == "angle"):
             raise ValueError(f"wrong fields for a {self.method} exclusion")
 
 
 @dataclass(frozen=True)
 class PolyStep:
-    """s := tan^2 at the doubled chain end is a root of the monic polynomial.
+    """s := tan^2 at the doubled chain end is a root of tan_squared_poly(q).
 
-    coeffs are ascending; candidates are the positive divisors of q, the only
-    possible rational roots, and every one carries an exclusion.
+    The positive divisors of q are the only possible rational roots, and each
+    one, in ascending order, carries an exclusion.
     """
 
     q: int
-    coeffs: tuple[int, ...]
-    candidates: tuple[int, ...]
     exclusions: tuple[Exclusion, ...]
 
 
@@ -224,19 +206,13 @@ class VerificationResult:
 # ---------------------------------------------------------- generation ----
 
 
-def certify(
-    r: Fraction | int, function: str = "tan2", separation_bits: int = 128
-) -> Certificate:
-    """Build a certificate for the verdict on function(r * pi).
-
-    separation_bits is the starting precision for interval separations
-    (doubled as needed up to the global cap).
-    """
+def certify(r: Fraction | int, function: str = "tan2") -> Certificate:
+    """Build a certificate for the verdict on function(r * pi)."""
     r = Fraction(r)
     if function not in FUNCTIONS:
         raise ValueError(f"unknown function {function!r}")
     red = reduce_for_tan(r)
-    t_verdict, core = _tan2_steps(red, separation_bits)
+    t_verdict, core = _tan2_steps(red)
     if function == "tan2":
         return Certificate(r, function, t_verdict, core)
     if function == "cos2":
@@ -268,9 +244,7 @@ def _cos2_of(t_verdict: TrigVerdict) -> TrigVerdict:
     return IRRATIONAL
 
 
-def _tan2_steps(
-    red: ReducedAngle, separation_bits: int
-) -> tuple[TrigVerdict, tuple[CertStep, ...]]:
+def _tan2_steps(red: ReducedAngle) -> tuple[TrigVerdict, tuple[CertStep, ...]]:
     if red.n in (1, 2, 3, 4, 6):
         value = tan_squared_base_value(red.n)
         verdict = POLE if value is None else TrigVerdict.exact(value)
@@ -279,14 +253,7 @@ def _tan2_steps(
     start = ReducedAngle(red.d, red.n)
     if q >= 5:
         chain = doubling_chain(start, q)
-        d_prime = chain.angles[-1].d
-        poly = tan_squared_poly(q)
-        step = PolyStep(
-            q,
-            poly.coeffs,
-            tuple(divisors(q)),
-            _exclusions_for(q, d_prime, separation_bits),
-        )
+        step = PolyStep(q, _exclusions_for(q, chain.angles[-1].d))
         return IRRATIONAL, (ChainStep(chain.angles), step)
     # odd part 1 or 3: stop at denominator 8 or 12, where doubling hits an
     # exact value and the double-angle preimage quadratic takes over
@@ -306,10 +273,10 @@ def exclude_candidate(
 ) -> Exclusion:
     """Rule out one rational-root candidate for s = tan^2(2 d' pi / q).
 
-    Exact evaluation settles non-roots; for a genuine root of the polynomial
-    (necessarily a different one than s), the interval around s is refined,
-    doubling the precision from bits up to the cap, until it excludes the
-    candidate.
+    Exact evaluation settles non-roots.  The only rational root the
+    polynomial can have is 3 = tan^2(pi/3), a base value at another
+    denominator than q's, so a root gets an angle exclusion.  bits is ignored;
+    it stays so that existing callers keep working.
     """
     candidate = Fraction(candidate)
     if q < 5 or q % 2 == 0:
@@ -321,18 +288,7 @@ def exclude_candidate(
     value = _poly_value_at(q, candidate)
     if value != 0:
         return Exclusion(candidate, "nonroot", q_value=value)
-    angle = reduce_for_tan(Fraction(2 * d_prime, q))
-    b = bits
-    while b <= MAX_BITS:
-        iv = eval_tan_squared(angle, b)
-        if iv.excludes(candidate):
-            return Exclusion(
-                candidate, "separation", interval_lo=iv.lo, interval_hi=iv.hi, bits=b
-            )
-        b *= 2
-    raise ArithmeticError(
-        f"separation of {candidate} at angle 2*{d_prime}/{q} exceeded {MAX_BITS} bits"
-    )
+    return Exclusion(candidate, "angle")
 
 
 @lru_cache(maxsize=None)
@@ -341,8 +297,8 @@ def _poly_value_at(q: int, candidate: Fraction) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _exclusions_for(q: int, d_prime: int, bits: int) -> tuple[Exclusion, ...]:
-    return tuple(exclude_candidate(q, d_prime, c, bits) for c in divisors(q))
+def _exclusions_for(q: int, d_prime: int) -> tuple[Exclusion, ...]:
+    return tuple(exclude_candidate(q, d_prime, c) for c in divisors(q))
 
 
 # --------------------------------------------------------- verification ---
@@ -357,9 +313,9 @@ class _Fail(Exception):
 def verify_certificate(cert: Certificate) -> VerificationResult:
     """Re-check every number in the certificate and the claimed verdict.
 
-    Angle reductions, chains, polynomial coefficients, divisor lists, exact
-    evaluations, separation intervals (at the recorded precision) and square
-    tests are all recomputed; the classifier is never consulted.
+    Angle reductions, chains, divisor lists, exact polynomial evaluations,
+    angle comparisons and square tests are all recomputed, in exact
+    arithmetic; the classifier is never consulted.
     """
     try:
         entailed = _entailed_verdict(cert)
@@ -432,16 +388,19 @@ def _core_tan2(r: Fraction, steps: tuple[CertStep, ...]) -> TrigVerdict:
 
 
 def _check_poly_step(step: PolyStep, q: int, d_prime: int) -> None:
+    """Check one exclusion per positive divisor of q.
+
+    An angle exclusion rests on tan^2 being strictly increasing on [0, pi/2).
+    s = tan^2(theta pi), where theta = reduce_for_tan(2 d'/q) lies in (0, 1/2).
+    The base angles 0, 1/3, 1/4, 1/6 lie in [0, 1/2) too, so a candidate equal
+    to tan^2 at a base denominator other than theta's cannot equal s.
+    """
     if step.q != q:
         raise _Fail("odd part mismatch")
-    if step.coeffs != tan_squared_poly(q).coeffs:
-        raise _Fail("polynomial coefficients mismatch")
-    cands = tuple(divisors(q))
-    if step.candidates != cands:
-        raise _Fail("candidate list mismatch")
+    cands = divisors(q)
     if len(step.exclusions) != len(cands):
         raise _Fail("exclusion count mismatch")
-    s_angle = reduce_for_tan(Fraction(2 * d_prime, q))
+    theta_n = reduce_for_tan(Fraction(2 * d_prime, q)).n
     for cand, exc in zip(cands, step.exclusions):
         if exc.candidate != cand:
             raise _Fail("exclusion candidate mismatch")
@@ -451,16 +410,10 @@ def _check_poly_step(step: PolyStep, q: int, d_prime: int) -> None:
                 raise _Fail("exact evaluation mismatch")
             if value == 0:
                 raise _Fail("candidate is a root but marked nonroot")
-        else:
-            bits = exc.bits
-            assert bits is not None
-            if not MIN_BITS <= bits <= MAX_BITS:
-                raise _Fail("separation bits out of range")
-            iv = eval_tan_squared(s_angle, bits)
-            if iv.lo != exc.interval_lo or iv.hi != exc.interval_hi:
-                raise _Fail("separation interval mismatch")
-            if not iv.excludes(cand):
-                raise _Fail("candidate not separated")
+        elif not any(
+            n != theta_n and tan_squared_base_value(n) == cand for n in (1, 3, 4, 6)
+        ):
+            raise _Fail("candidate not separated")
 
 
 def _check_quadratic_step(step: BackwardQuadraticStep, stop: int) -> None:
@@ -650,17 +603,13 @@ _ANGLE = _record(None, None, [
 _EXCLUSION = _record("method", "method", [
     ("nonroot", Exclusion, [
         ("candidate", "candidate", _INT_FRAC), ("Q_value", "q_value", _INT_FRAC)]),
-    ("separation", Exclusion, [
-        ("candidate", "candidate", _INT_FRAC), ("interval_lo", "interval_lo", _RAT),
-        ("interval_hi", "interval_hi", _RAT), ("bits", "bits", _JSON_INT)]),
+    ("angle", Exclusion, [("candidate", "candidate", _INT_FRAC)]),
 ])
 _STEP = _record("type", None, [
     ("base", BaseStep, [("angle", "angle", _ANGLE), ("value", "value", _OPT_RAT)]),
     ("chain", ChainStep, [("angles", "angles", _list(_ANGLE))]),
     ("poly", PolyStep, [
-        ("q", "q", _INT), ("coeffs", "coeffs", _list(_INT)),
-        ("candidates", "candidates", _list(_INT)),
-        ("exclusions", "exclusions", _list(_EXCLUSION))]),
+        ("q", "q", _INT), ("exclusions", "exclusions", _list(_EXCLUSION))]),
     ("backward_quadratic", BackwardQuadraticStep, [
         ("den", "den", _INT), ("D", "d_value", _RAT),
         ("quad_coeffs", "quad_coeffs", _list(_INT, 3)),

@@ -22,7 +22,7 @@ _RAT_RE = re.compile(r"-?[0-9]+/[0-9]+\Z")
 def mutation_sites(tree):
     """All (path, kind) pairs for numeric leaves under verdict and steps.
 
-    kind is "int" for JSON integers (sign, bits), "int_string" for decimal
+    kind is "int" for JSON integers (sign), "int_string" for decimal
     integer strings, "rational_string" for "num/den" strings.  Nulls and
     non-numeric strings (type tags, methods, relations) yield no site.
     """

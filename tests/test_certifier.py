@@ -65,8 +65,7 @@ def test_certify_odd_denominator_five():
     chain, poly = cert.steps
     assert chain == ChainStep((ReducedAngle(1, 5),))
     assert poly.q == 5
-    assert poly.coeffs == (5, -10, 1)
-    assert poly.candidates == (1, 5)
+    assert [e.candidate for e in poly.exclusions] == [1, 5]
     assert [e.method for e in poly.exclusions] == ["nonroot", "nonroot"]
     assert [e.q_value for e in poly.exclusions] == [-4, -20]
     assert verify_certificate(cert)
@@ -77,11 +76,10 @@ def test_certify_denominator_fifteen():
     chain, poly = cert.steps
     assert chain == ChainStep((ReducedAngle(1, 15),))
     assert poly.q == 15
-    assert poly.coeffs == (-15, 455, -3003, 6435, -5005, 1365, -105, 1)
-    assert poly.candidates == (1, 3, 5, 15)
+    assert [e.candidate for e in poly.exclusions] == [1, 3, 5, 15]
     assert [e.method for e in poly.exclusions] == [
         "nonroot",
-        "separation",
+        "angle",
         "nonroot",
         "nonroot",
     ]
@@ -91,11 +89,8 @@ def test_certify_denominator_fifteen():
         306560,
         -220938240,
     ]
-    sep = poly.exclusions[1]
-    assert sep.candidate == 3
-    assert sep.bits == 128
-    # the interval pins s = tan^2(2 pi / 15), roughly 0.198
-    assert Fraction(19, 100) < sep.interval_lo < sep.interval_hi < Fraction(1, 5)
+    # 3 = tan^2(pi/3) is a root of the polynomial, at another angle than 2/15
+    assert poly.exclusions[1] == Exclusion(Fraction(3), "angle")
     assert verify_certificate(cert)
 
 
@@ -237,18 +232,12 @@ def test_exclude_candidate_nonroot():
     assert exclude_candidate(5, 1, 1).q_value == -4
 
 
-def test_exclude_candidate_separation():
-    exc = exclude_candidate(9, 1, 3)
-    assert exc.method == "separation"
-    assert exc.bits == 64
-    # tan^2(2 pi / 9) is about 0.704, far from the candidate 3
-    assert Fraction(7, 10) < exc.interval_lo < exc.interval_hi < Fraction(71, 100)
-
-    exc = exclude_candidate(15, 2, 3, bits=128)
-    assert exc.method == "separation"
-    assert exc.bits == 128
-    # tan^2(4 pi / 15) is about 1.233
-    assert Fraction(123, 100) < exc.interval_lo < exc.interval_hi < Fraction(124, 100)
+def test_exclude_candidate_angle():
+    # 3 is a root whenever 3 | q; it is tan^2 at 1/3, never at 2 d'/q
+    assert exclude_candidate(9, 1, 3) == Exclusion(Fraction(3), "angle")
+    assert exclude_candidate(15, 2, 3) == Exclusion(Fraction(3), "angle")
+    # bits is accepted and ignored
+    assert exclude_candidate(15, 2, 3, 128) == exclude_candidate(15, 2, 3, bits=8)
 
 
 def test_exclude_candidate_validation():
@@ -322,15 +311,8 @@ def test_verify_rejects_poly_tampering():
     chain, poly = cert.steps
     exc = poly.exclusions
 
-    bad_poly = replace(poly, q=7, coeffs=(-7, 35, -21, 1))
-    bad = replace(cert, steps=(chain, bad_poly))
+    bad = replace(cert, steps=(chain, replace(poly, q=7)))
     assert verify_certificate(bad).reason == "odd part mismatch"
-
-    bad = replace(cert, steps=(chain, replace(poly, coeffs=(5, -10, 2))))
-    assert verify_certificate(bad).reason == "polynomial coefficients mismatch"
-
-    bad = replace(cert, steps=(chain, replace(poly, candidates=(1, 3))))
-    assert verify_certificate(bad).reason == "candidate list mismatch"
 
     bad = replace(cert, steps=(chain, replace(poly, exclusions=exc[:1])))
     assert verify_certificate(bad).reason == "exclusion count mismatch"
@@ -343,31 +325,31 @@ def test_verify_rejects_poly_tampering():
 def test_verify_rejects_root_marked_nonroot():
     cert = certify(Fraction(1, 9))
     chain, poly = cert.steps
-    assert poly.exclusions[1].method == "separation"
+    assert poly.exclusions[1].method == "angle"
     lie = Exclusion(Fraction(3), "nonroot", q_value=Fraction(0))
     exclusions = (poly.exclusions[0], lie, poly.exclusions[2])
     bad = replace(cert, steps=(chain, replace(poly, exclusions=exclusions)))
     assert verify_certificate(bad).reason == "candidate is a root but marked nonroot"
 
 
-def test_verify_rejects_separation_tampering():
+def test_verify_rejects_angle_tampering():
     cert = certify(Fraction(1, 9))
     chain, poly = cert.steps
-    sep = poly.exclusions[1]
-
-    shifted = replace(sep, interval_lo=sep.interval_lo - Fraction(1, 1 << 200))
-    exclusions = (poly.exclusions[0], shifted, poly.exclusions[2])
-    bad = replace(cert, steps=(chain, replace(poly, exclusions=exclusions)))
-    assert verify_certificate(bad).reason == "separation interval mismatch"
 
     ordered = (poly.exclusions[1], poly.exclusions[0], poly.exclusions[2])
     bad = replace(cert, steps=(chain, replace(poly, exclusions=ordered)))
     assert verify_certificate(bad).reason == "exclusion candidate mismatch"
 
-    tiny = replace(sep, bits=4)
-    exclusions = (poly.exclusions[0], tiny, poly.exclusions[2])
-    bad = replace(cert, steps=(chain, replace(poly, exclusions=exclusions)))
-    assert verify_certificate(bad).reason == "separation bits out of range"
+    # 5 is no base value, so an angle exclusion proves nothing about it
+    cert = certify(Fraction(1, 15))
+    chain, poly = cert.steps
+    exclusions = list(poly.exclusions)
+    exclusions[2] = Exclusion(Fraction(5), "angle")
+    bad = replace(cert, steps=(chain, replace(poly, exclusions=tuple(exclusions))))
+    assert verify_certificate(bad).reason == "candidate not separated"
+
+    with pytest.raises(ValueError):
+        Exclusion(Fraction(3), "angle", q_value=Fraction(1))
 
 
 def test_verify_rejects_quadratic_tampering():
@@ -445,7 +427,7 @@ def test_json_round_trip_examples():
 
 def test_wire_tree_shape():
     tree = certificate_to_tree(certify(Fraction(1, 15)))
-    assert tree["version"] == 1 and not isinstance(tree["version"], bool)
+    assert tree["version"] == 2 and not isinstance(tree["version"], bool)
     assert tree["input"] == "1/15"
     assert tree["function"] == "tan2"
     assert tree["verdict"] == {"kind": "irrational"}
@@ -453,25 +435,13 @@ def test_wire_tree_shape():
     assert chain["type"] == "chain"
     assert chain["angles"][0] == {"d": "1", "n": "15", "sign": 1}
     assert poly["type"] == "poly"
+    assert set(poly) == {"type", "q", "exclusions"}
     assert poly["q"] == "15"
-    assert poly["coeffs"] == [
-        "-15",
-        "455",
-        "-3003",
-        "6435",
-        "-5005",
-        "1365",
-        "-105",
-        "1",
-    ]
-    assert poly["candidates"] == ["1", "3", "5", "15"]
+    assert [e["candidate"] for e in poly["exclusions"]] == ["1", "3", "5", "15"]
     nonroot = poly["exclusions"][0]
     assert set(nonroot) == {"candidate", "method", "Q_value"}
     assert nonroot["Q_value"] == "128"
-    sep = poly["exclusions"][1]
-    assert set(sep) == {"candidate", "method", "interval_lo", "interval_hi", "bits"}
-    assert sep["candidate"] == "3"
-    assert sep["bits"] == 128 and not isinstance(sep["bits"], bool)
+    assert poly["exclusions"][1] == {"candidate": "3", "method": "angle"}
 
     tree = certificate_to_tree(certify(Fraction(1, 8)))
     quad = tree["steps"][1]
@@ -517,13 +487,16 @@ def test_parser_rejects_malformed_trees():
     del t["version"]
     reject(t, "missing version")
     t = _tree()
-    t["version"] = 2
+    t["version"] = 1
     reject(t, "wrong version")
+    t = _tree()
+    t["version"] = 3
+    reject(t, "unknown version")
     t = _tree()
     t["version"] = True
     reject(t, "boolean version")
     t = _tree()
-    t["version"] = "1"
+    t["version"] = "2"
     reject(t, "stringly version")
     t = _tree()
     t["input"] = "2/12"
@@ -574,21 +547,34 @@ def test_parser_rejects_malformed_trees():
     t["steps"][0]["angle"]["d"] = "2"
     t["steps"][0]["angle"]["n"] = "4"
     reject(t, "unreduced angle")
-    t = _tree(Fraction(1, 15))
-    t["steps"][1]["exclusions"][1]["bits"] = "128"
-    reject(t, "stringly bits")
-    t = _tree(Fraction(1, 15))
-    t["steps"][1]["exclusions"][1]["bits"] = 128.0
-    reject(t, "float bits")
-    t = _tree(Fraction(1, 15))
-    t["steps"][1]["exclusions"][1]["bits"] = True
-    reject(t, "boolean bits")
+    t = _tree()
+    t["steps"][0]["angle"]["sign"] = "1"
+    reject(t, "stringly sign")
+    t = _tree()
+    t["steps"][0]["angle"]["sign"] = 1.0
+    reject(t, "float sign")
+    t = _tree()
+    t["steps"][0]["angle"]["sign"] = True
+    reject(t, "boolean sign")
     t = _tree(Fraction(1, 15))
     t["steps"][1]["exclusions"][0]["method"] = "magic"
     reject(t, "unknown exclusion method")
     t = _tree(Fraction(1, 15))
     t["steps"][1]["exclusions"][0]["bits"] = 64
-    reject(t, "nonroot with separation fields")
+    reject(t, "nonroot with a v1 separation field")
+    t = _tree(Fraction(1, 15))
+    t["steps"][1]["exclusions"][1]["Q_value"] = "0"
+    reject(t, "angle exclusion with a Q_value")
+    t = _tree(Fraction(1, 15))
+    del t["steps"][1]["exclusions"][0]["Q_value"]
+    reject(t, "nonroot without a Q_value")
+    t = _tree(Fraction(1, 15))
+    t["steps"][1]["coeffs"] = [
+        "-15", "455", "-3003", "6435", "-5005", "1365", "-105", "1"]
+    reject(t, "poly step with v1 coefficients")
+    t = _tree(Fraction(1, 15))
+    t["steps"][1]["candidates"] = ["1", "3", "5", "15"]
+    reject(t, "poly step with a v1 candidate list")
     t = _tree(Fraction(1, 8))
     t["steps"][1]["quad_coeffs"] = ["1", "-6"]
     reject(t, "short quadratic")
@@ -640,6 +626,8 @@ def test_any_single_field_mutation_fails():
         (Fraction(1, 3), "tan"),
         (Fraction(2, 3), "cos"),
         (Fraction(1, 4), "cos"),
+        (Fraction(7, 45), "tan2"),
+        (Fraction(1, 105), "cos2"),
     ]
     total = 0
     for r, f in cases:
@@ -656,8 +644,9 @@ def test_any_single_field_mutation_fails():
 
 
 def test_mutation_helper_targets_numbers_only():
-    tree = certificate_to_tree(certify(Fraction(1, 15)))
-    sites = _mutation.mutation_sites(tree)
+    trees = [certificate_to_tree(certify(r, f))
+             for r, f in [(Fraction(1, 15), "tan2"), (Fraction(1, 6), "cos2")]]
+    sites = [site for tree in trees for site in _mutation.mutation_sites(tree)]
     kinds = {kind for _, kind in sites}
     assert kinds == {"int", "int_string", "rational_string"}
     # top-level fields stay untouched
@@ -669,14 +658,14 @@ def test_format_errors_name_the_json_path():
     exc = ("steps", 1, "exclusions")
     cases = [
         ((*exc, 2, "Q_value"), "1/2", "steps[1].exclusions[2].Q_value"),
-        ((*exc, 1, "bits"), 1.5, "steps[1].exclusions[1].bits"),
-        ((*exc, 1, "interval_lo"), "-0/1", "steps[1].exclusions[1].interval_lo"),
+        ((*exc, 1, "candidate"), "03", "steps[1].exclusions[1].candidate"),
         ((*exc, 0, "method"), None, "steps[1].exclusions[0]"),
-        (("steps", 1, "coeffs", 3), "007", "steps[1].coeffs[3]"),
+        ((*exc, 1, "method"), "separation", "steps[1].exclusions[1]"),
+        (("steps", 1, "q"), "-0", "steps[1].q"),
         (("steps", 0, "angles", 0, "sign"), True, "steps[0].angles[0].sign"),
         (("verdict", "kind"), ["irrational"], "verdict"),
         (("input",), "2/30", "input"),
-        (("version",), 2, "certificate"),
+        (("version",), 1, "certificate"),
     ]
     for path, value, where in cases:
         tree = _tree(Fraction(1, 15))
@@ -698,8 +687,27 @@ def test_wire_bytes_are_pinned():
                 for f in FUNCTIONS:
                     digest.update(to_json(certify(Fraction(d, n), f)).encode())
     assert digest.hexdigest() == (
-        "887c042031ab4682ea0ed2d5fce2fcc8d1a8355489aa945d726d69d0d36d88f3"
+        "c996a62ca037a229c0f22768c6ed84218b81ce30d94be2dbc1bbc203dff36ff1"
     )
+
+
+def test_version_1_certificates_are_rejected():
+    v1 = {
+        "version": 1,
+        "input": "1/5",
+        "function": "tan2",
+        "verdict": {"kind": "irrational"},
+        "steps": [
+            {"type": "chain", "angles": [{"d": "1", "n": "5", "sign": 1}]},
+            {"type": "poly", "q": "5", "coeffs": ["5", "-10", "1"],
+             "candidates": ["1", "5"],
+             "exclusions": [
+                 {"candidate": "1", "method": "nonroot", "Q_value": "-4"},
+                 {"candidate": "5", "method": "nonroot", "Q_value": "-20"}]},
+        ],
+    }
+    res = verify_certificate_json(json.dumps(v1))
+    assert res.reason == "certificate: unsupported version 1"
 
 
 _JSON_VALUES = st.recursive(

@@ -2,12 +2,17 @@
 
 import io
 import json
+import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
-from trig_rational.certifier import certify, to_json
+from trig_rational.certifier import certificate_to_tree, certify, to_json
 from trig_rational.cli import run
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
 
 def test_classify_human_output(capsys):
@@ -26,6 +31,10 @@ def test_classify_human_output(capsys):
 
     assert run(["classify", "5/3", "--function", "cos"]) == 0
     assert capsys.readouterr().out == "cos(1/3 pi): exact 1/2\n"
+
+    # an integer angle needs no denominator
+    assert run(["classify", "7"]) == 0
+    assert capsys.readouterr().out == "tan2(0/1 pi): exact 0\n"
 
 
 def test_classify_json_output(capsys):
@@ -48,6 +57,8 @@ def test_usage_errors(capsys):
     assert "error:" in capsys.readouterr().err
     assert run(["classify", "abc"]) == 2
     capsys.readouterr()
+    assert run(["classify", "7/"]) == 2
+    capsys.readouterr()
     assert run(["classify"]) == 2
     capsys.readouterr()
     assert run(["frobnicate", "1/2"]) == 2
@@ -58,7 +69,7 @@ def test_usage_errors(capsys):
     capsys.readouterr()
     assert run(["--help"]) == 0
     capsys.readouterr()
-    # --bits is checked before any work, whatever the angle
+    # scan checks --bits before any work, whatever the angle; certify has none
     for argv in (
         ["certify", "1/5", "--bits", "5000"],
         ["certify", "1/15", "--bits", "5000"],
@@ -97,9 +108,18 @@ def test_certify_command(capsys):
     tree = json.loads(capsys.readouterr().out)
     assert tree["verdict"] == {"kind": "exact", "value": "-1/1"}
 
-    assert run(["certify", "1/6", "--function", "cos", "--bits", "64"]) == 0
+    assert run(["certify", "1/6", "--function", "cos"]) == 0
     tree = json.loads(capsys.readouterr().out)
     assert tree["steps"][-1]["type"] == "sqrt_step"
+
+    assert run(["certify", "3", "--function", "cos"]) == 0
+    tree = json.loads(capsys.readouterr().out)
+    assert tree["input"] == "3/1"
+    assert tree["verdict"] == {"kind": "exact", "value": "-1/1"}
+
+    # certify has no precision to set
+    assert run(["certify", "1/15", "--bits", "128"]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_verify_command_with_files(tmp_path, capsys):
@@ -108,9 +128,9 @@ def test_verify_command_with_files(tmp_path, capsys):
     assert run(["verify", str(cert_path)]) == 0
     assert capsys.readouterr().out == "pass\n"
 
-    # corrupt one digit of the polynomial constant coefficient
+    # corrupt one digit of the exact value at the candidate 1
     text = cert_path.read_text(encoding="utf-8")
-    tampered = text.replace('"-3003"', '"-3002"')
+    tampered = text.replace('"128"', '"129"')
     assert tampered != text
     bad_path = tmp_path / "bad.json"
     bad_path.write_text(tampered, encoding="utf-8")
@@ -225,3 +245,32 @@ def test_scan_deterministic_across_jobs():
     assert one.returncode == four.returncode == 0
     assert one.stdout == four.stdout
     assert "jobs" not in one.stdout
+
+
+def _readme_examples():
+    """(command line, expected output) for each `$ trig-rational` example."""
+    for block in re.findall(r"```sh\n(.*?)```", README, re.S):
+        for example in block.split("\n\n"):
+            first, *output = example.strip().split("\n")
+            if first.startswith("$ trig-rational "):
+                yield first[2:], "".join(line + "\n" for line in output)
+
+
+def test_readme_examples(capsys, monkeypatch):
+    examples = list(_readme_examples())
+    assert len(examples) >= 6
+    for line, expected in examples:
+        # each stage of a pipe is one call, its output the next one's stdin
+        stdin = ""
+        for stage in line.split(" | "):
+            argv = shlex.split(stage)
+            assert argv[0] == "trig-rational", line
+            monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+            assert run(argv[1:]) == 0, line
+            stdin = capsys.readouterr().out
+        assert stdin == expected, line
+
+    example = re.search(r"## Certificate format.*?```json\n(.*?)```", README, re.S)
+    tree = json.loads(example[1])
+    r = Fraction(tree["input"])
+    assert tree == certificate_to_tree(certify(r, tree["function"]))
