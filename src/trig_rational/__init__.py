@@ -60,7 +60,13 @@ from .highprec import (
     eval_poly_at_tan_squared,
     eval_tan_squared,
 )
-from .polynomial import IntPolynomial, rational_roots, tan_poly, tan_squared_poly
+from .polynomial import (
+    IntPolynomial,
+    rational_roots,
+    tan_poly,
+    tan_squared_poly,
+    tan_squared_poly_at,
+)
 
 __version__ = "0.1.0"
 
@@ -112,4 +118,5 @@ __all__ = [
     "rational_roots",
     "tan_poly",
     "tan_squared_poly",
+    "tan_squared_poly_at",
 ]

@@ -12,7 +12,10 @@ re-check the claim with no trust in the classifier:
     s of a monic integer polynomial; the rational root theorem confines any
     rational s to the positive divisors of q, and each divisor is ruled out
     either by exact evaluation (not a root) or by an exact angle comparison
-    (a root, but tan^2 at a base angle, which is not s's angle).
+    (a root, but tan^2 at a base angle, which is not s's angle).  Neither
+    side builds the polynomial: its value at a divisor c is, up to sign, the
+    sqrt(-c) part of (1 + sqrt(-c))^q, one integer power by repeated
+    squaring (polynomial.tan_squared_poly_at).
   * backward quadratic step: for denominators 8 * 2^a and 12 * 2^a the chain
     stops at 8 or 12, where one more doubling hits a known exact value D;
     a rational tan^2 would then be a rational root of an integer quadratic
@@ -23,7 +26,7 @@ Every step is exact: no interval arithmetic is involved.  Serialization is
 strict JSON: arbitrary-precision integers and rationals travel as decimal
 strings (rationals as "num/den" in lowest terms), and the verifier rejects
 unknown fields, non-canonical numbers and version drift.  Data the verifier
-recomputes anyway (the polynomial, the divisor list) is not on the wire.
+can derive from q (the polynomial, the divisor list) is not on the wire.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from .angle import (
 )
 from .classifier import FUNCTIONS, IRRATIONAL, POLE, TrigVerdict
 from .exact_core import divisors, gcd, rational_sqrt
-from .polynomial import tan_squared_poly
+from .polynomial import tan_squared_poly_at
 
 __all__ = [
     "WIRE_VERSION",
@@ -273,7 +276,8 @@ def exclude_candidate(
 ) -> Exclusion:
     """Rule out one rational-root candidate for s = tan^2(2 d' pi / q).
 
-    Exact evaluation settles non-roots.  The only rational root the
+    candidate is a positive integer: the rational root theorem admits no
+    other.  Exact evaluation settles non-roots.  The only rational root the
     polynomial can have is 3 = tan^2(pi/3), a base value at another
     denominator than q's, so a root gets an angle exclusion.  bits is ignored;
     it stays so that existing callers keep working.
@@ -285,15 +289,17 @@ def exclude_candidate(
         raise ValueError("d_prime must be in (0, q) and coprime to q")
     if candidate <= 0:
         raise ValueError("candidates are positive")
-    value = _poly_value_at(q, candidate)
+    if candidate.denominator != 1:
+        raise ValueError("candidates are integers")
+    value = _poly_value_at(q, candidate.numerator)
     if value != 0:
         return Exclusion(candidate, "nonroot", q_value=value)
     return Exclusion(candidate, "angle")
 
 
 @lru_cache(maxsize=None)
-def _poly_value_at(q: int, candidate: Fraction) -> Fraction:
-    return tan_squared_poly(q).eval(candidate)
+def _poly_value_at(q: int, candidate: int) -> Fraction:
+    return Fraction(tan_squared_poly_at(q, candidate))
 
 
 @lru_cache(maxsize=None)
@@ -405,7 +411,7 @@ def _check_poly_step(step: PolyStep, q: int, d_prime: int) -> None:
         if exc.candidate != cand:
             raise _Fail("exclusion candidate mismatch")
         if exc.method == "nonroot":
-            value = _poly_value_at(q, Fraction(cand))
+            value = _poly_value_at(q, cand)
             if exc.q_value != value:
                 raise _Fail("exact evaluation mismatch")
             if value == 0:

@@ -12,7 +12,6 @@ import json
 import re
 import sys
 from fractions import Fraction
-from multiprocessing import Pool
 
 from .certifier import certify, to_json, verdict_to_tree
 from .certifier import verify_certificate, verify_certificate_json
@@ -149,6 +148,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     totals = {f: {"pole": 0, "exact": 0, "irrational": 0} for f in FUNCTIONS}
     failures: list[str] = []
     if args.jobs > 1:
+        from multiprocessing import Pool  # only scan --jobs pays for this import
+
         with Pool(processes=args.jobs) as pool:
             results = list(pool.imap(_scan_denominator, tasks, chunksize=8))
     else:

@@ -7,6 +7,10 @@ degree-m polynomial in X = tan^2 (``tan_squared_poly``).  The constant
 coefficient of the collapsed polynomial is (-1)^m * n, which is what makes
 the rational root theorem bite: any rational root is an integer divisor
 of n.
+
+A divisor c is ruled in or out by the value p(c) alone, and that value needs
+no polynomial: it is, up to sign, the sqrt(-c) part of (1 + sqrt(-c))^n,
+which ``tan_squared_poly_at`` computes by repeated squaring on integer pairs.
 """
 
 from __future__ import annotations
@@ -15,9 +19,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact_core import binomial, divisors, gcd
+from .exact_core import divisors, gcd
 
-__all__ = ["IntPolynomial", "tan_poly", "tan_squared_poly", "rational_roots"]
+__all__ = [
+    "IntPolynomial",
+    "tan_poly",
+    "tan_squared_poly",
+    "tan_squared_poly_at",
+    "rational_roots",
+]
 
 
 @dataclass(frozen=True)
@@ -62,11 +72,37 @@ def tan_poly(n: int) -> IntPolynomial:
 
 @lru_cache(maxsize=None)
 def tan_squared_poly(n: int) -> IntPolynomial:
-    """Monic degree-m polynomial with roots tan^2(k*pi/n), k = 1..m, for odd n = 2m+1."""
+    """Monic degree-m polynomial with roots tan^2(k*pi/n), k = 1..m, for odd n = 2m+1.
+
+    The coefficient of X^j is (-1)^(m+j) C(n, 2j+1).
+    """
     m = _check_odd(n)
-    return IntPolynomial(
-        tuple((-1) ** (m + j) * binomial(n, 2 * j + 1) for j in range(m + 1))
-    )
+    coeffs = []
+    binom = n  # C(n, k) for k = 2j+1; C(n, k+2) = C(n, k)(n-k)(n-k-1)/((k+1)(k+2))
+    for k in range(1, n + 1, 2):
+        coeffs.append(binom if (m - k // 2) % 2 == 0 else -binom)
+        binom = binom * (n - k) * (n - k - 1) // ((k + 1) * (k + 2))
+    return IntPolynomial(tuple(coeffs))
+
+
+def tan_squared_poly_at(n: int, c: int) -> int:
+    """tan_squared_poly(n) evaluated at the integer c, without building it.
+
+    With t = sqrt(-c), so t^2 = -c, the binomial theorem gives
+    (1 + t)^n = A + B t with B = sum_j C(n, 2j+1) (-c)^j; for c > 0 this is
+    Im((1 + i sqrt(c))^n) / sqrt(c).  The coefficient of X^j in
+    tan_squared_poly(n) is (-1)^(m+j) C(n, 2j+1), so its value at c is
+    (-1)^m B.  (1 + t)^n is formed left to right over the bits of n: a
+    square (a + b t)^2 = (a^2 - c b^2) + 2ab t per bit, and a step
+    (a + b t)(1 + t) = (a - c b) + (a + b) t per set bit.
+    """
+    m = _check_odd(n)
+    a, b = 1, 0
+    for bit in bin(n)[2:]:
+        a, b = a * a - c * b * b, 2 * a * b
+        if bit == "1":
+            a, b = a - c * b, a + b
+    return b if m % 2 == 0 else -b
 
 
 def _check_odd(n: int) -> int:

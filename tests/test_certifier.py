@@ -255,6 +255,8 @@ def test_exclude_candidate_validation():
         exclude_candidate(9, 1, 0)
     with pytest.raises(ValueError):
         exclude_candidate(9, 1, -3)
+    with pytest.raises(ValueError):
+        exclude_candidate(5, 1, Fraction(1, 2))  # not an integer
 
 
 def test_exclusion_field_discipline():

@@ -214,8 +214,15 @@ def test_certify_verify_pipe_subprocess():
     assert second.returncode == 0
     assert second.stdout == "pass\n"
 
-    # several functions and shapes through the same pipe
-    for angle, function in [("1/24", "tan2"), ("2/3", "cos"), ("1/6", "tan")]:
+    # several functions and shapes through the same pipe; odd part 2527 is the
+    # largest whose Q_values still fit the int-to-str digit limit
+    for angle, function in [
+        ("1/24", "tan2"),
+        ("2/3", "cos"),
+        ("1/6", "tan"),
+        ("1/2527", "tan2"),
+        ("5/10108", "cos"),
+    ]:
         cert = subprocess.run(
             _module_cmd("certify", angle, "--function", function),
             capture_output=True,
@@ -229,6 +236,7 @@ def test_certify_verify_pipe_subprocess():
             text=True,
         )
         assert res.returncode == 0, res.stdout + res.stderr
+        assert res.stdout == "pass\n"
 
 
 def test_scan_deterministic_across_jobs():

@@ -2,15 +2,19 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from trig_rational.exact_core import divisors
 from trig_rational.polynomial import (
     IntPolynomial,
     rational_roots,
     tan_poly,
     tan_squared_poly,
+    tan_squared_poly_at,
 )
 
 
@@ -57,8 +61,11 @@ def test_tan_polys_reject_even_or_small():
     for bad in (-3, 0, 1, 2, 4, 6, 100):
         with pytest.raises(ValueError):
             tan_poly(bad)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as built:
             tan_squared_poly(bad)
+        with pytest.raises(ValueError) as evaluated:
+            tan_squared_poly_at(bad, 1)
+        assert str(evaluated.value) == str(built.value)
 
 
 def test_tan_squared_poly_shape():
@@ -70,6 +77,25 @@ def test_tan_squared_poly_shape():
         assert q.coeffs[-1] == 1
         assert abs(q.coeffs[0]) == n
         assert q.coeffs[0] == (-1) ** m * n
+        assert q.coeffs == tuple(
+            (-1) ** (m + j) * comb(n, 2 * j + 1) for j in range(m + 1)
+        )
+
+
+def test_tan_squared_poly_at_divisors():
+    # the power identity agrees with Horner on every rational root candidate
+    for q in range(5, 402, 2):
+        p = tan_squared_poly(q)
+        for c in divisors(q):
+            assert tan_squared_poly_at(q, c) == p.eval(c), (q, c)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.integers(3, 301).map(lambda k: k | 1), st.integers(1, 10**12))
+def test_tan_squared_poly_at_non_divisors(q, c):
+    if q % c == 0:
+        c += q
+    assert tan_squared_poly_at(q, c) == tan_squared_poly(q).eval(c)
 
 
 def test_collapse_identity():
