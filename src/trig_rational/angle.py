@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_core import gcd, rational_sqrt
+from .exact_core import as_fraction, gcd, rational_sqrt
 
 __all__ = [
     "PoleError",
@@ -70,7 +70,7 @@ def reduce_for_tan(r: Fraction | int) -> ReducedAngle:
     tan((1-x)pi) = -tan(x pi), so x in (1/2, 1) maps to 1-x with sign -1.
     The pole representative 1/2 is kept as is.
     """
-    r = Fraction(r)
+    r = as_fraction(r)
     num = r.numerator % r.denominator
     if num == 0:
         return ReducedAngle(0, 1)
@@ -82,7 +82,7 @@ def reduce_for_tan(r: Fraction | int) -> ReducedAngle:
 
 def reduce_for_cos(r: Fraction | int) -> ReducedAngle:
     """Fold r into [0, 1] using cos's period 2 and evenness."""
-    r = Fraction(r)
+    r = as_fraction(r)
     den = r.denominator
     num = r.numerator % (2 * den)
     if num > den:
@@ -110,7 +110,7 @@ def double_angle_forward(t: Fraction | int) -> Fraction:
 
     T = 1 means the doubled angle sits on the pole, which is an error here.
     """
-    t = Fraction(t)
+    t = as_fraction(t)
     if t == 1:
         raise PoleError("tan^2 = 1 doubles onto the pole")
     return 4 * t / (1 - t) ** 2
@@ -123,7 +123,7 @@ def invert_double_angle(d_value: Fraction | int) -> list[Fraction]:
     x = (D + 2 +- 2*sqrt(D+1)) / D, so rational preimages exist exactly when
     D+1 is a rational square; the two roots multiply to 1.
     """
-    d_value = Fraction(d_value)
+    d_value = as_fraction(d_value)
     if d_value < 0:
         raise ValueError("tan^2 is never negative")
     if d_value == 0:

@@ -47,7 +47,7 @@ from .angle import (
     tan_squared_base_value,
 )
 from .classifier import FUNCTIONS, IRRATIONAL, POLE, TrigVerdict
-from .exact_core import divisors, gcd, rational_sqrt
+from .exact_core import as_fraction, divisors, gcd, rational_sqrt
 from .polynomial import tan_squared_poly_at
 
 __all__ = [
@@ -113,14 +113,16 @@ class ChainStep:
 class Exclusion:
     """Why one divisor candidate cannot equal s.
 
-    nonroot records the exact polynomial value at the candidate (nonzero);
-    angle records nothing more: the candidate is tan^2 at a base angle whose
-    denominator differs from s's, so it is a different root than s.
+    candidate and q_value are Python ints: the candidate is a positive divisor
+    of q and the polynomial has integer coefficients.  nonroot records the
+    exact polynomial value at the candidate (nonzero); angle records nothing
+    more: the candidate is tan^2 at a base angle whose denominator differs
+    from s's, so it is a different root than s.
     """
 
-    candidate: Fraction
+    candidate: int
     method: str  # "nonroot" | "angle"
-    q_value: Fraction | None = None
+    q_value: int | None = None
 
     def __post_init__(self) -> None:
         if self.method not in ("nonroot", "angle"):
@@ -211,7 +213,7 @@ class VerificationResult:
 
 def certify(r: Fraction | int, function: str = "tan2") -> Certificate:
     """Build a certificate for the verdict on function(r * pi)."""
-    r = Fraction(r)
+    r = as_fraction(r)
     if function not in FUNCTIONS:
         raise ValueError(f"unknown function {function!r}")
     red = reduce_for_tan(r)
@@ -282,7 +284,7 @@ def exclude_candidate(
     denominator than q's, so a root gets an angle exclusion.  bits is ignored;
     it stays so that existing callers keep working.
     """
-    candidate = Fraction(candidate)
+    candidate = as_fraction(candidate)
     if q < 5 or q % 2 == 0:
         raise ValueError("q must be odd and at least 5")
     if not 0 < d_prime < q or gcd(d_prime, q) != 1:
@@ -291,15 +293,16 @@ def exclude_candidate(
         raise ValueError("candidates are positive")
     if candidate.denominator != 1:
         raise ValueError("candidates are integers")
-    value = _poly_value_at(q, candidate.numerator)
+    c = candidate.numerator
+    value = _poly_value_at(q, c)
     if value != 0:
-        return Exclusion(candidate, "nonroot", q_value=value)
-    return Exclusion(candidate, "angle")
+        return Exclusion(c, "nonroot", q_value=value)
+    return Exclusion(c, "angle")
 
 
 @lru_cache(maxsize=None)
-def _poly_value_at(q: int, candidate: int) -> Fraction:
-    return Fraction(tan_squared_poly_at(q, candidate))
+def _poly_value_at(q: int, candidate: int) -> int:
+    return tan_squared_poly_at(q, candidate)
 
 
 @lru_cache(maxsize=None)
@@ -541,7 +544,6 @@ def _list(item: _Codec, length: int | None = None) -> _Codec:
 
 
 _INT = _Codec(str, _dec_int)
-_INT_FRAC = _Codec(str, lambda v: Fraction(_dec_int(v)))  # str(Fraction(n)) == str(n)
 _RAT = _Codec(lambda x: f"{x.numerator}/{x.denominator}", _dec_rat)
 _OPT_RAT = _Codec(
     lambda x: None if x is None else _RAT.enc(x),
@@ -608,8 +610,8 @@ _ANGLE = _record(None, None, [
 ])
 _EXCLUSION = _record("method", "method", [
     ("nonroot", Exclusion, [
-        ("candidate", "candidate", _INT_FRAC), ("Q_value", "q_value", _INT_FRAC)]),
-    ("angle", Exclusion, [("candidate", "candidate", _INT_FRAC)]),
+        ("candidate", "candidate", _INT), ("Q_value", "q_value", _INT)]),
+    ("angle", Exclusion, [("candidate", "candidate", _INT)]),
 ])
 _STEP = _record("type", None, [
     ("base", BaseStep, [("angle", "angle", _ANGLE), ("value", "value", _OPT_RAT)]),

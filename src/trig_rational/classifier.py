@@ -18,6 +18,7 @@ from .angle import (
     reduce_for_tan,
     tan_squared_base_value,
 )
+from .exact_core import as_fraction
 
 __all__ = [
     "TrigVerdict",
@@ -49,7 +50,7 @@ class TrigVerdict:
 
     @classmethod
     def exact(cls, value: Fraction | int) -> "TrigVerdict":
-        return cls("exact", Fraction(value))
+        return cls("exact", as_fraction(value))
 
     @property
     def is_exact(self) -> bool:

@@ -1,6 +1,7 @@
 """Command-line front end: classify, certify, verify, scan, poly.
 
-Exit codes: 0 success, 1 verification or cross-check failure, 2 usage error.
+Exit codes: 0 success, 1 verification or cross-check failure or a certificate
+that cannot be written, 2 usage error.
 Scan output is deterministic (ascending denominator, then numerator) no
 matter how many worker processes are used.
 """
@@ -83,7 +84,12 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         if not result:
             print(f"verification failed: {result.reason}", file=sys.stderr)
             return 1
-    print(to_json(cert))
+    try:
+        text = to_json(cert)
+    except ValueError as e:  # a number past the int-to-str digit limit
+        print(f"error: {e}", file=sys.stderr)
+        return 1
+    print(text)
     return 0
 
 

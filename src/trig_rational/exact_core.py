@@ -17,6 +17,7 @@ __all__ = [
     "gcd",
     "integer_sqrt",
     "make_rational",
+    "as_fraction",
     "divisors",
     "rational_sqrt",
     "binomial",
@@ -26,6 +27,14 @@ __all__ = [
 def make_rational(num: int, den: int) -> Fraction:
     """num/den in lowest terms, positive denominator.  den == 0 raises."""
     return Fraction(num, den)
+
+
+def as_fraction(x: Fraction | int) -> Fraction:
+    """x itself when it is exactly a Fraction, else Fraction(x) (subclasses too).
+
+    Fraction(x) would copy a Fraction through the slow numbers.Rational check.
+    """
+    return x if type(x) is Fraction else Fraction(x)
 
 
 def divisors(n: int) -> list[int]:
@@ -51,7 +60,7 @@ def rational_sqrt(q: Fraction | int) -> Fraction | None:
     Works on the canonical form: q = a/b in lowest terms is a square exactly
     when a and b are both perfect squares.
     """
-    q = Fraction(q)
+    q = as_fraction(q)
     if q < 0:
         return None
     rn = integer_sqrt(q.numerator)

@@ -28,6 +28,7 @@ from functools import lru_cache
 
 from .angle import PoleError, ReducedAngle, reduce_for_cos, reduce_for_tan
 from .classifier import TrigVerdict
+from .exact_core import as_fraction
 from .polynomial import IntPolynomial
 
 __all__ = [
@@ -47,7 +48,11 @@ MAX_BITS = 4096
 
 @dataclass(frozen=True)
 class RatInterval:
-    """Closed interval with exact rational endpoints."""
+    """Closed interval with exact rational endpoints.
+
+    Membership tests cross-multiply integers; the value may be an int, a
+    Fraction or a finite float, and is compared exactly.
+    """
 
     lo: Fraction
     hi: Fraction
@@ -64,11 +69,17 @@ class RatInterval:
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    def __contains__(self, x: object) -> bool:
-        return self.lo <= x <= self.hi  # type: ignore[operator]
+    def __contains__(self, x: Fraction | int | float) -> bool:
+        return not self.excludes(x)
 
-    def excludes(self, x: Fraction | int) -> bool:
-        return x < self.lo or x > self.hi
+    def excludes(self, x: Fraction | int | float) -> bool:
+        x = as_fraction(x)
+        a, b = x.numerator, x.denominator
+        lo, hi = self.lo, self.hi
+        return (
+            a * lo.denominator < lo.numerator * b
+            or a * hi.denominator > hi.numerator * b
+        )
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -164,24 +175,23 @@ def _sin_cos_scaled(th_lo: int, th_hi: int, w: int, want_sin: bool) -> tuple[int
         d2 += 2
 
 
-def _theta_scaled(x: Fraction, w: int) -> tuple[int, int]:
-    """Enclosure of x*pi at scale 2^w for a nonnegative fraction x."""
+def _theta_scaled(num: int, den: int, w: int) -> tuple[int, int]:
+    """Enclosure of (num/den)*pi at scale 2^w for num >= 0, den > 0."""
     pi_lo, pi_hi = _pi_scaled(w)
-    num, den = x.numerator, x.denominator
     return (pi_lo * num) // den, _ceil_div(pi_hi * num, den)
 
 
-def _sinpi_scaled(x: Fraction, w: int) -> tuple[int, int]:
-    # x in [0, 1/2]; fold at 1/4 so the series argument stays small
-    if 4 * x <= 1:
-        return _sin_cos_scaled(*_theta_scaled(x, w), w, want_sin=True)
-    return _sin_cos_scaled(*_theta_scaled(Fraction(1, 2) - x, w), w, want_sin=False)
+def _sinpi_scaled(d: int, n: int, w: int) -> tuple[int, int]:
+    # d/n in [0, 1/2]; fold at 1/4 so the series argument stays small
+    if 4 * d <= n:
+        return _sin_cos_scaled(*_theta_scaled(d, n, w), w, want_sin=True)
+    return _sin_cos_scaled(*_theta_scaled(n - 2 * d, 2 * n, w), w, want_sin=False)
 
 
-def _cospi_scaled(x: Fraction, w: int) -> tuple[int, int]:
-    if 4 * x <= 1:
-        return _sin_cos_scaled(*_theta_scaled(x, w), w, want_sin=False)
-    return _sin_cos_scaled(*_theta_scaled(Fraction(1, 2) - x, w), w, want_sin=True)
+def _cospi_scaled(d: int, n: int, w: int) -> tuple[int, int]:
+    if 4 * d <= n:
+        return _sin_cos_scaled(*_theta_scaled(d, n, w), w, want_sin=False)
+    return _sin_cos_scaled(*_theta_scaled(n - 2 * d, 2 * n, w), w, want_sin=True)
 
 
 def _sqr_scaled(lo: int, hi: int, w: int) -> tuple[int, int]:
@@ -225,12 +235,11 @@ def eval_tan_squared(angle: ReducedAngle | Fraction | int, bits: int) -> RatInte
 
 @lru_cache(maxsize=None)
 def _eval_tan_squared_cached(d: int, n: int, bits: int) -> RatInterval:
-    x = Fraction(d, n)
     guard = 16 + 2 * n.bit_length()
     while True:
         w = bits + 4 + guard
-        s_lo, s_hi = _sinpi_scaled(x, w)
-        c_lo, c_hi = _cospi_scaled(x, w)
+        s_lo, s_hi = _sinpi_scaled(d, n, w)
+        c_lo, c_hi = _cospi_scaled(d, n, w)
         s2_lo, s2_hi = _sqr_scaled(s_lo, s_hi, w)
         c2_lo, c2_hi = _sqr_scaled(c_lo, c_hi, w)
         if c2_lo > 0:
@@ -244,7 +253,7 @@ def _eval_tan_squared_cached(d: int, n: int, bits: int) -> RatInterval:
 def eval_cos(angle: ReducedAngle | Fraction | int, bits: int) -> RatInterval:
     """Certified enclosure of cos(angle * pi), width 2^-bits."""
     if not isinstance(angle, ReducedAngle):
-        angle = reduce_for_cos(Fraction(angle))
+        angle = reduce_for_cos(angle)
     if bits < MIN_BITS:
         raise ValueError(f"bits must be at least {MIN_BITS}")
     return _eval_cos_cached(angle.d, angle.n, bits)
@@ -252,14 +261,13 @@ def eval_cos(angle: ReducedAngle | Fraction | int, bits: int) -> RatInterval:
 
 @lru_cache(maxsize=None)
 def _eval_cos_cached(d: int, n: int, bits: int) -> RatInterval:
-    x = Fraction(d, n)
-    flip = x > Fraction(1, 2)
+    flip = 2 * d > n
     if flip:
-        x = 1 - x
+        d = n - d
     guard = 16
     while True:
         w = bits + 4 + guard
-        lo, hi = _cospi_scaled(x, w)
+        lo, hi = _cospi_scaled(d, n, w)
         if flip:
             lo, hi = -hi, -lo
         if hi - lo <= 1 << (w - bits - 4):
@@ -273,7 +281,7 @@ def _as_tan_angle(angle: ReducedAngle | Fraction | int) -> ReducedAngle:
         if 2 * angle.d > angle.n:
             return reduce_for_tan(angle.fraction)
         return angle
-    return reduce_for_tan(Fraction(angle))
+    return reduce_for_tan(angle)
 
 
 def interval_eval(p: IntPolynomial, iv: RatInterval, bits: int) -> RatInterval:
@@ -345,7 +353,6 @@ def crosscheck(
     Irrational claims pass once some refinement up to the bit cap excludes
     every member of the function's exceptional value set.
     """
-    r = Fraction(r)
     if function == "cos":
         if verdict.kind == "pole":
             return False
@@ -386,8 +393,13 @@ def crosscheck(
             return verdict.kind == "exact" and verdict.value == 0
 
         def cos2_interval(b: int) -> RatInterval:
+            # 1/(1 + t) = v/(u + v) for t = u/v, decreasing in t
             t = eval_tan_squared(red, b)
-            return RatInterval(1 / (1 + t.hi), 1 / (1 + t.lo))
+            lo, hi = t.lo, t.hi
+            return RatInterval(
+                Fraction(hi.denominator, hi.numerator + hi.denominator),
+                Fraction(lo.denominator, lo.numerator + lo.denominator),
+            )
 
         if verdict.kind == "exact":
             return verdict.value in cos2_interval(bits)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _mutation
-from trig_rational.angle import ReducedAngle
+from trig_rational.angle import ReducedAngle, reduce_for_cos, reduce_for_tan
 from trig_rational.certifier import (
     COS2_RELATION,
     COS_RELATION,
@@ -34,6 +34,7 @@ from trig_rational.certifier import (
 )
 from trig_rational.classifier import FUNCTIONS, IRRATIONAL, POLE, TrigVerdict, classify
 from trig_rational.exact_core import gcd
+from trig_rational.highprec import crosscheck
 
 
 # ------------------------------------------------------------ generation --
@@ -92,6 +93,46 @@ def test_certify_denominator_fifteen():
     # 3 = tan^2(pi/3) is a root of the polynomial, at another angle than 2/15
     assert poly.exclusions[1] == Exclusion(Fraction(3), "angle")
     assert verify_certificate(cert)
+
+
+def test_exclusion_fields_are_ints():
+    cert = certify(Fraction(7, 90), "cos")  # odd part 45: roots and nonroots
+    for c in (cert, from_json(to_json(cert))):
+        exclusions = c.steps[-1].exclusions
+        assert {e.method for e in exclusions} == {"nonroot", "angle"}
+        for e in exclusions:
+            assert type(e.candidate) is int
+            assert type(e.q_value) is int or e.method == "angle"
+    for e in exclude_candidate(15, 2, 3), exclude_candidate(15, 2, Fraction(5)):
+        assert type(e.candidate) is int
+        assert type(e.q_value) is int or e.method == "angle"
+    # equality is by value, so a Fraction-valued candidate still matches
+    assert Exclusion(Fraction(3), "angle") == Exclusion(3, "angle")
+
+
+class _SubFraction(Fraction):
+    """A Fraction subclass; the entry points convert it to a plain Fraction."""
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    st.integers(-400, 400),
+    st.just(1) | st.integers(1, 150),
+    st.sampled_from(FUNCTIONS),
+)
+def test_entry_points_agree_across_input_types(num, den, f):
+    r = Fraction(num, den)
+    verdict = classify(r, f)
+    cert = certify(r, f)
+    forms = [_SubFraction(num, den)] + ([num // den] if r.denominator == 1 else [])
+    for x in forms:
+        assert reduce_for_tan(x) == reduce_for_tan(r)
+        assert reduce_for_cos(x) == reduce_for_cos(r)
+        assert classify(x, f) == verdict
+        got = certify(x, f)
+        assert got == cert and type(got.input) is Fraction
+        assert to_json(got) == to_json(cert)
+        assert crosscheck(x, f, verdict)
 
 
 def test_certify_chained_denominator():

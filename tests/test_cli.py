@@ -9,6 +9,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from trig_rational.certifier import certificate_to_tree, certify, to_json
 from trig_rational.cli import run
 
@@ -82,6 +84,24 @@ def test_usage_errors(capsys):
     ):
         assert run(argv) == 2, argv
         assert "error:" in capsys.readouterr().err
+
+
+def test_unwritable_certificate_exits_1(capsys):
+    # at Python's default int-to-str digit limit the Q_value at the candidate
+    # 4999 (30,701 bits) cannot be written: a failed run, not a usage error;
+    # argument errors keep exit 2 (test_usage_errors, test_poly_command, ...)
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int-to-str digit limit")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        for argv in (["certify", "1/4999"], ["certify", "1/4999", "--verify"]):
+            assert run(argv) == 1, argv
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("error: Exceeds the limit (4300 digits)")
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_poly_command(capsys):

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trig_rational.angle import PoleError, ReducedAngle
 from trig_rational.classifier import IRRATIONAL, POLE, TrigVerdict, classify
@@ -33,6 +34,27 @@ def test_rat_interval_basics():
     assert not iv.excludes(Fraction(1, 3))
     with pytest.raises(ValueError):
         RatInterval(Fraction(1), Fraction(0))
+
+
+_FRACTIONS = st.fractions(max_denominator=10**6) | st.fractions(max_denominator=4)
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(st.data())
+def test_rat_interval_matches_fraction_comparisons(data):
+    # Fraction's own comparisons are the reference
+    lo, hi = sorted(data.draw(st.lists(_FRACTIONS, min_size=2, max_size=2)))
+    iv = RatInterval(lo, hi)
+    x = data.draw(
+        st.sampled_from([lo, hi])
+        | st.sampled_from([lo, hi]).map(float)
+        | st.sampled_from([lo, hi]).map(math.floor)
+        | st.integers()
+        | _FRACTIONS
+        | st.floats(allow_nan=False, allow_infinity=False)
+    )
+    assert iv.excludes(x) == (x < lo or x > hi)
+    assert (x in iv) == (lo <= x <= hi)
 
 
 def test_eval_tan_squared_known_values():
