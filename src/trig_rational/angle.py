@@ -98,11 +98,8 @@ def odd_part(n: int) -> tuple[int, int]:
     """n = 2^a * q with q odd; returns (a, q)."""
     if n < 1:
         raise ValueError("odd_part requires n >= 1")
-    a = 0
-    while n % 2 == 0:
-        n //= 2
-        a += 1
-    return a, n
+    a = (n & -n).bit_length() - 1  # n & -n is n's lowest set bit, 2^a
+    return a, n >> a
 
 
 def double_angle_forward(t: Fraction | int) -> Fraction:

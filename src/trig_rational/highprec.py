@@ -21,7 +21,6 @@ inside those at lower ones by construction.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -89,7 +88,6 @@ def _ceil_div(a: int, b: int) -> int:
 # ---------------------------------------------------------------- pi ------
 
 _pi_cache: dict[int, tuple[int, int]] = {}
-_pi_lock = threading.Lock()
 
 
 def _arctan_recip_scaled(x: int, w: int) -> tuple[int, int]:
@@ -119,21 +117,21 @@ def _arctan_recip_scaled(x: int, w: int) -> tuple[int, int]:
 
 
 def _pi_scaled(w: int) -> tuple[int, int]:
-    """Enclosure of pi * 2^w, cached per scale; reads are lock-free."""
+    """Enclosure of pi * 2^w, cached per scale.
+
+    Two threads that miss the cache at once both compute the same value, and
+    the second store overwrites the first with an equal one.
+    """
     got = _pi_cache.get(w)
     if got is not None:
         return got
-    with _pi_lock:
-        got = _pi_cache.get(w)
-        if got is not None:
-            return got
-        # work 8 bits finer, then round outward
-        a_lo, a_hi = _arctan_recip_scaled(5, w + 8)
-        b_lo, b_hi = _arctan_recip_scaled(239, w + 8)
-        lo = (16 * a_lo - 4 * b_hi) >> 8
-        hi = _ceil_div(16 * a_hi - 4 * b_lo, 256)
-        _pi_cache[w] = (lo, hi)
-        return lo, hi
+    # work 8 bits finer, then round outward
+    a_lo, a_hi = _arctan_recip_scaled(5, w + 8)
+    b_lo, b_hi = _arctan_recip_scaled(239, w + 8)
+    lo = (16 * a_lo - 4 * b_hi) >> 8
+    hi = _ceil_div(16 * a_hi - 4 * b_lo, 256)
+    _pi_cache[w] = (lo, hi)
+    return lo, hi
 
 
 # ------------------------------------------------------------ sin / cos ---

@@ -90,8 +90,10 @@ def test_odd_part():
     assert odd_part(7) == (0, 7)
     assert odd_part(8) == (3, 1)
     assert odd_part(1) == (0, 1)
-    with pytest.raises(ValueError):
-        odd_part(0)
+    assert odd_part(3 << 100000) == (100000, 3)
+    for n in (0, -8):
+        with pytest.raises(ValueError):
+            odd_part(n)
     rng = random.Random(64)
     for _ in range(200):
         n = rng.randrange(1, 1 << 30)

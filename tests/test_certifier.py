@@ -3,24 +3,22 @@
 import hashlib
 import json
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import _mutation
-from trig_rational.angle import ReducedAngle, reduce_for_cos, reduce_for_tan
+from trig_rational import certifier
+from trig_rational.angle import reduce_for_cos, reduce_for_tan
 from trig_rational.certifier import (
-    COS2_RELATION,
-    COS_RELATION,
-    TAN_RELATION,
     BackwardQuadraticStep,
     BaseStep,
     CertificateFormatError,
     ChainStep,
     Exclusion,
-    IdentityStep,
     PolyStep,
     SqrtStep,
     certificate_from_tree,
@@ -44,12 +42,12 @@ def test_certify_base_cases():
     cert = certify(Fraction(1, 6))
     assert cert.function == "tan2"
     assert cert.verdict == TrigVerdict.exact(Fraction(1, 3))
-    assert cert.steps == (BaseStep(ReducedAngle(1, 6), Fraction(1, 3)),)
+    assert cert.steps == (BaseStep(),)
     assert verify_certificate(cert)
 
     cert = certify(Fraction(1, 2))
     assert cert.verdict == POLE
-    assert cert.steps == (BaseStep(ReducedAngle(1, 2), None),)
+    assert cert.steps == (BaseStep(),)
     assert verify_certificate(cert)
 
     cert = certify(0)
@@ -64,7 +62,7 @@ def test_certify_odd_denominator_five():
     cert = certify(Fraction(1, 5))
     assert cert.verdict == IRRATIONAL
     chain, poly = cert.steps
-    assert chain == ChainStep((ReducedAngle(1, 5),))
+    assert chain == ChainStep(0)
     assert poly.q == 5
     assert [e.candidate for e in poly.exclusions] == [1, 5]
     assert [e.method for e in poly.exclusions] == ["nonroot", "nonroot"]
@@ -75,7 +73,7 @@ def test_certify_odd_denominator_five():
 def test_certify_denominator_fifteen():
     cert = certify(Fraction(1, 15))
     chain, poly = cert.steps
-    assert chain == ChainStep((ReducedAngle(1, 15),))
+    assert chain == ChainStep(0)
     assert poly.q == 15
     assert [e.candidate for e in poly.exclusions] == [1, 3, 5, 15]
     assert [e.method for e in poly.exclusions] == [
@@ -136,63 +134,58 @@ def test_entry_points_agree_across_input_types(num, den, f):
 
 
 def test_certify_chained_denominator():
+    # 1/40 -> 1/20 -> 1/10 -> 1/5: three doublings down to the odd part
     cert = certify(Fraction(1, 40))
     chain, poly = cert.steps
-    assert [a.fraction for a in chain.angles] == [
-        Fraction(1, 40),
-        Fraction(1, 20),
-        Fraction(1, 10),
-        Fraction(1, 5),
-    ]
-    assert poly.q == 5
-    # the doubled endpoint feeding the polynomial root is 2/5
+    assert chain == ChainStep(3)
+    assert poly == certify(Fraction(1, 5)).steps[1]
     assert verify_certificate(cert)
 
 
 def test_certify_power_of_two_denominator():
     cert = certify(Fraction(1, 8))
     assert cert.verdict == IRRATIONAL
-    chain, quad = cert.steps
-    assert chain == ChainStep((ReducedAngle(1, 8),))
-    assert quad == BackwardQuadraticStep(8, Fraction(1), (1, -6, 1), 32, None)
+    assert cert.steps == (ChainStep(0), BackwardQuadraticStep(8))
     assert verify_certificate(cert)
 
+    # 5/16 -> 3/8, then the quadratic at 8
     cert = certify(Fraction(5, 16))
-    chain, quad = cert.steps
-    assert [a.fraction for a in chain.angles] == [Fraction(5, 16), Fraction(3, 8)]
-    assert quad.den == 8
+    assert cert.steps == (ChainStep(1), BackwardQuadraticStep(8))
+    assert verify_certificate(cert)
+    cert = certify(Fraction(1, 1024))
+    assert cert.steps == (ChainStep(7), BackwardQuadraticStep(8))
     assert verify_certificate(cert)
 
 
 def test_certify_three_times_power_of_two():
     cert = certify(Fraction(1, 12))
-    chain, quad = cert.steps
-    assert chain == ChainStep((ReducedAngle(1, 12),))
-    assert quad == BackwardQuadraticStep(12, Fraction(1, 3), (1, -14, 1), 192, None)
+    assert cert.steps == (ChainStep(0), BackwardQuadraticStep(12))
     assert verify_certificate(cert)
 
+    # 1/24 -> 1/12, then the quadratic at 12
     cert = certify(Fraction(1, 24))
-    chain, quad = cert.steps
-    assert [a.fraction for a in chain.angles] == [Fraction(1, 24), Fraction(1, 12)]
-    assert quad.den == 12
+    assert cert.steps == (ChainStep(1), BackwardQuadraticStep(12))
+    assert verify_certificate(cert)
+    cert = certify(Fraction(7, 3 * 1024))
+    assert cert.steps == (ChainStep(8), BackwardQuadraticStep(12))
     assert verify_certificate(cert)
 
 
 def test_certify_tan_structures():
+    # the function fixes how tan relates to tan^2: no identity step
     cert = certify(Fraction(3, 4), "tan")
     assert cert.verdict == TrigVerdict.exact(-1)
-    assert cert.steps[0] == IdentityStep(TAN_RELATION)
-    assert cert.steps[1] == BaseStep(ReducedAngle(1, 4, -1), Fraction(1))
+    assert cert.steps == (BaseStep(),)
     assert verify_certificate(cert)
 
     # rational tan^2 whose square root is not rational
     cert = certify(Fraction(1, 3), "tan")
     assert cert.verdict == IRRATIONAL
-    assert cert.steps[-1] == SqrtStep(Fraction(3), None)
+    assert cert.steps == (BaseStep(), SqrtStep())
     assert verify_certificate(cert)
 
     cert = certify(Fraction(1, 6), "tan")
-    assert cert.steps[-1] == SqrtStep(Fraction(1, 3), None)
+    assert cert.steps == (BaseStep(), SqrtStep())
     assert verify_certificate(cert)
 
     cert = certify(Fraction(1, 2), "tan")
@@ -207,10 +200,10 @@ def test_certify_tan_structures():
 
 
 def test_certify_cos_squared_structures():
+    # the tan^2 pole is cos^2 = 0; the steps are those of tan^2
     cert = certify(Fraction(1, 2), "cos2")
     assert cert.verdict == TrigVerdict.exact(0)
-    assert cert.steps[0] == IdentityStep(COS2_RELATION)
-    assert cert.steps[1] == BaseStep(ReducedAngle(1, 2), None)
+    assert cert.steps == certify(Fraction(1, 2)).steps == (BaseStep(),)
     assert verify_certificate(cert)
 
     cert = certify(Fraction(1, 6), "cos2")
@@ -219,25 +212,24 @@ def test_certify_cos_squared_structures():
 
     cert = certify(Fraction(2, 7), "cos2")
     assert cert.verdict == IRRATIONAL
+    assert cert.steps == certify(Fraction(2, 7)).steps
     assert verify_certificate(cert)
 
 
 def test_certify_cos_structures():
     cert = certify(Fraction(2, 3), "cos")
     assert cert.verdict == TrigVerdict.exact(Fraction(-1, 2))
-    assert cert.steps[0] == IdentityStep(COS2_RELATION)
-    assert cert.steps[1] == IdentityStep(COS_RELATION)
-    assert cert.steps[2] == BaseStep(ReducedAngle(1, 3, -1), Fraction(3))
+    assert cert.steps == (BaseStep(),)
     assert verify_certificate(cert)
 
     # cos^2 = 1/2 is rational but cos is not
     cert = certify(Fraction(1, 4), "cos")
     assert cert.verdict == IRRATIONAL
-    assert cert.steps[-1] == SqrtStep(Fraction(1, 2), None)
+    assert cert.steps == (BaseStep(), SqrtStep())
     assert verify_certificate(cert)
 
     cert = certify(Fraction(1, 6), "cos")
-    assert cert.steps[-1] == SqrtStep(Fraction(3, 4), None)
+    assert cert.steps == (BaseStep(), SqrtStep())
     assert verify_certificate(cert)
 
     cert = certify(Fraction(1, 2), "cos")
@@ -326,20 +318,31 @@ def test_verify_rejects_forged_verdicts():
 
 
 def test_verify_rejects_base_tampering():
+    # the base step has no fields: the input's denominator decides whether it
+    # is the right step, and the table gives the value
     cert = certify(Fraction(1, 6))
-    bad = replace(cert, steps=(BaseStep(ReducedAngle(1, 6), Fraction(3)),))
-    assert verify_certificate(bad).reason == "base value mismatch"
-    bad = replace(cert, steps=(BaseStep(ReducedAngle(1, 6, -1), Fraction(1, 3)),))
-    assert verify_certificate(bad).reason == "base step angle mismatch"
-    bad = replace(cert, steps=cert.steps + cert.steps)
-    assert verify_certificate(bad).reason == "expected a single base step"
+    for steps in ((), cert.steps + cert.steps, (ChainStep(0),), (SqrtStep(),)):
+        bad = replace(cert, steps=steps)
+        assert verify_certificate(bad).reason == "expected a single base step"
+    bad = replace(certify(Fraction(1, 5)), steps=(BaseStep(),))
+    assert (
+        verify_certificate(bad).reason == "expected a chain step and a concluding step"
+    )
 
 
 def test_verify_rejects_chain_tampering():
     cert = certify(Fraction(1, 5))
     chain, poly = cert.steps
-    bad = replace(cert, steps=(ChainStep((ReducedAngle(2, 5),)), poly))
-    assert verify_certificate(bad).reason == "chain mismatch"
+    for doublings in (1, -1, 2**64):
+        bad = replace(cert, steps=(ChainStep(doublings), poly))
+        assert verify_certificate(bad).reason == "chain length mismatch"
+    # each takes three doublings, down to 5, 8 and 12
+    for r in (Fraction(1, 40), Fraction(1, 64), Fraction(5, 96)):
+        long_chain, last = certify(r).steps
+        assert long_chain == ChainStep(3)
+        for wrong in (2, 4, 0):
+            bad = replace(cert, input=r, steps=(ChainStep(wrong), last))
+            assert verify_certificate(bad).reason == "chain length mismatch", r
     bad = replace(cert, steps=(chain,))
     assert (
         verify_certificate(bad).reason == "expected a chain step and a concluding step"
@@ -398,47 +401,59 @@ def test_verify_rejects_angle_tampering():
 def test_verify_rejects_quadratic_tampering():
     cert = certify(Fraction(1, 8))
     chain, quad = cert.steps
-
-    checks = [
-        (replace(quad, den=12), "landing denominator mismatch"),
-        (replace(quad, d_value=Fraction(2)), "doubled-angle value mismatch"),
-        (replace(quad, quad_coeffs=(1, -6, 2)), "quadratic coefficients mismatch"),
-        (replace(quad, discriminant=36), "discriminant mismatch"),
-        (replace(quad, square_witness=Fraction(6)), "square test mismatch"),
-    ]
-    for bad_step, reason in checks:
-        bad = replace(cert, steps=(chain, bad_step))
-        assert verify_certificate(bad).reason == reason
+    for den in (12, 9, 4, 0):
+        bad = replace(cert, steps=(chain, BackwardQuadraticStep(den)))
+        assert verify_certificate(bad).reason == "landing denominator mismatch"
+    cert = certify(Fraction(1, 24))
+    bad = replace(cert, steps=(cert.steps[0], BackwardQuadraticStep(8)))
+    assert verify_certificate(bad).reason == "landing denominator mismatch"
 
     poly = certify(Fraction(1, 5)).steps[1]
-    bad = replace(cert, steps=(chain, poly))
+    bad = replace(cert, steps=(cert.steps[0], poly))
     assert verify_certificate(bad).reason == "expected a backward quadratic step"
 
 
+def test_verify_recomputes_the_quadratic_square_test(monkeypatch):
+    # with D = 3 at the stop 8 the discriminant 4*5^2 - 4*3^2 = 64 is a square,
+    # so the same step would no longer prove anything
+    cert = certify(Fraction(1, 8))
+    assert verify_certificate(cert)
+    table = {4: Fraction(3)}
+    base = certifier.tan_squared_base_value
+    monkeypatch.setattr(
+        certifier, "tan_squared_base_value", lambda n: table.get(n) or base(n)
+    )
+    assert verify_certificate(cert).reason == "verdict not entailed"
+    assert verify_certificate(certify(Fraction(1, 12)))
+
+
 def test_verify_rejects_identity_and_sqrt_tampering():
+    # the identities tying tan, cos2 and cos to tan2 are fixed by the declared
+    # function: declaring another one without changing the verdict must fail
+    for f in ("cos2", "tan", "cos"):
+        forged = replace(certify(Fraction(1, 6)), function=f)
+        assert not verify_certificate(forged).ok, f
     cert = certify(Fraction(1, 6), "cos2")
-    bad = replace(cert, steps=(IdentityStep(TAN_RELATION),) + cert.steps[1:])
-    assert verify_certificate(bad).reason.startswith("missing identity step")
+    bad = replace(cert, steps=cert.steps + (SqrtStep(),))
+    assert verify_certificate(bad).reason == "expected a single base step"
 
-    # declaring a different function without reshaping the steps must fail
-    assert not verify_certificate(replace(certify(Fraction(1, 6)), function="cos2")).ok
-
+    # the square-root marker must be present exactly when the exact square
+    # has no rational root
     cert = certify(Fraction(1, 3), "tan")
-    bad = replace(cert, steps=cert.steps[:-1] + (SqrtStep(Fraction(2), None),))
-    assert verify_certificate(bad).reason == "radicand mismatch"
-    bad = replace(cert, steps=cert.steps[:-1] + (SqrtStep(Fraction(3), Fraction(2)),))
-    assert verify_certificate(bad).reason == "square test mismatch"
     bad = replace(cert, steps=cert.steps[:-1])
     assert verify_certificate(bad).reason == "missing square-root step"
+    bad = replace(cert, steps=cert.steps + (SqrtStep(),))
+    assert verify_certificate(bad).reason == "expected a single base step"
 
-    # a square-root step claiming a rational root proves nothing irrational
     cert = certify(Fraction(1, 4), "tan")
-    padded = replace(
-        cert,
-        verdict=IRRATIONAL,
-        steps=cert.steps + (SqrtStep(Fraction(1), Fraction(1)),),
-    )
-    assert verify_certificate(padded).reason == "verdict not entailed"
+    padded = replace(cert, verdict=IRRATIONAL, steps=cert.steps + (SqrtStep(),))
+    reason = verify_certificate(padded).reason
+    assert reason == "square-root step on a rational square root"
+
+    cert = certify(Fraction(1, 5), "cos")
+    padded = replace(cert, steps=cert.steps + (SqrtStep(),))
+    reason = verify_certificate(padded).reason
+    assert reason == "square-root step without an exact square"
 
 
 # ------------------------------------------------------------ wire format --
@@ -470,13 +485,12 @@ def test_json_round_trip_examples():
 
 def test_wire_tree_shape():
     tree = certificate_to_tree(certify(Fraction(1, 15)))
-    assert tree["version"] == 2 and not isinstance(tree["version"], bool)
+    assert tree["version"] == 3 and not isinstance(tree["version"], bool)
     assert tree["input"] == "1/15"
     assert tree["function"] == "tan2"
     assert tree["verdict"] == {"kind": "irrational"}
     chain, poly = tree["steps"]
-    assert chain["type"] == "chain"
-    assert chain["angles"][0] == {"d": "1", "n": "15", "sign": 1}
+    assert chain == {"type": "chain", "doublings": "0"}
     assert poly["type"] == "poly"
     assert set(poly) == {"type", "q", "exclusions"}
     assert poly["q"] == "15"
@@ -486,28 +500,18 @@ def test_wire_tree_shape():
     assert nonroot["Q_value"] == "128"
     assert poly["exclusions"][1] == {"candidate": "3", "method": "angle"}
 
-    tree = certificate_to_tree(certify(Fraction(1, 8)))
-    quad = tree["steps"][1]
-    assert quad == {
-        "type": "backward_quadratic",
-        "den": "8",
-        "D": "1/1",
-        "quad_coeffs": ["1", "-6", "1"],
-        "discriminant": "32",
-        "square_witness": None,
-    }
+    tree = certificate_to_tree(certify(Fraction(5, 48), "tan"))
+    assert tree["steps"] == [
+        {"type": "chain", "doublings": "2"},
+        {"type": "backward_quadratic", "den": "12"},
+    ]
 
     tree = certificate_to_tree(certify(Fraction(1, 6)))
     assert tree["verdict"] == {"kind": "exact", "value": "1/3"}
+    assert tree["steps"] == [{"type": "base"}]
 
     tree = certificate_to_tree(certify(Fraction(1, 4), "cos"))
-    assert tree["steps"][0] == {"type": "identity_step", "relation": COS2_RELATION}
-    assert tree["steps"][1] == {"type": "identity_step", "relation": COS_RELATION}
-    assert tree["steps"][-1] == {
-        "type": "sqrt_step",
-        "radicand": "1/2",
-        "square_test_result": None,
-    }
+    assert tree["steps"] == [{"type": "base"}, {"type": "sqrt_step"}]
 
 
 def _tree(r=Fraction(1, 6), f="tan2"):
@@ -530,16 +534,16 @@ def test_parser_rejects_malformed_trees():
     del t["version"]
     reject(t, "missing version")
     t = _tree()
-    t["version"] = 1
+    t["version"] = 2
     reject(t, "wrong version")
     t = _tree()
-    t["version"] = 3
+    t["version"] = 4
     reject(t, "unknown version")
     t = _tree()
     t["version"] = True
     reject(t, "boolean version")
     t = _tree()
-    t["version"] = "2"
+    t["version"] = "3"
     reject(t, "stringly version")
     t = _tree()
     t["input"] = "2/12"
@@ -577,28 +581,41 @@ def test_parser_rejects_malformed_trees():
     t = _tree()
     t["steps"][0]["surprise"] = 1
     reject(t, "unknown step field")
-    t = _tree()
-    del t["steps"][0]["value"]
+    t = _tree(Fraction(1, 15))
+    del t["steps"][0]["doublings"]
     reject(t, "missing step field")
     t = _tree()
     t["steps"][0]["type"] = "magic"
     reject(t, "unknown step type")
+    for doublings in ("01", "+1", "-0", "1.0", 1, 1.0, True, None):
+        t = _tree(Fraction(1, 30))
+        t["steps"][0]["doublings"] = doublings
+        reject(t, f"non-canonical doublings {doublings!r}")
+    t = _tree(Fraction(1, 24))
+    t["steps"][1]["den"] = 12
+    reject(t, "JSON-integer quadratic stop")
+    # fields that version 2 carried and version 3 derives
     t = _tree()
-    t["steps"][0]["angle"]["sign"] = 0
-    reject(t, "bad sign")
+    t["steps"][0]["value"] = "1/3"
+    reject(t, "base step with a v2 value")
     t = _tree()
-    t["steps"][0]["angle"]["d"] = "2"
-    t["steps"][0]["angle"]["n"] = "4"
-    reject(t, "unreduced angle")
-    t = _tree()
-    t["steps"][0]["angle"]["sign"] = "1"
-    reject(t, "stringly sign")
-    t = _tree()
-    t["steps"][0]["angle"]["sign"] = 1.0
-    reject(t, "float sign")
-    t = _tree()
-    t["steps"][0]["angle"]["sign"] = True
-    reject(t, "boolean sign")
+    t["steps"][0]["angle"] = {"d": "1", "n": "6", "sign": 1}
+    reject(t, "base step with a v2 angle")
+    t = _tree(Fraction(1, 30))
+    t["steps"][0]["angles"] = [{"d": "1", "n": "30", "sign": 1}]
+    reject(t, "chain step with v2 angles")
+    t = _tree(Fraction(1, 30))
+    t["steps"][0] = {"type": "chain", "angles": [{"d": "1", "n": "30", "sign": 1}]}
+    reject(t, "v2 chain step")
+    t = _tree(Fraction(1, 8))
+    t["steps"][1]["D"] = "1/1"
+    reject(t, "quadratic step with a v2 D")
+    t = _tree(Fraction(1, 3), "tan")
+    t["steps"][1]["radicand"] = "3/1"
+    reject(t, "square-root step with a v2 radicand")
+    t = _tree(Fraction(1, 6), "cos2")
+    t["steps"].insert(0, {"type": "identity_step", "relation": "cos2 = 1/(1+tan2)"})
+    reject(t, "v2 identity step")
     t = _tree(Fraction(1, 15))
     t["steps"][1]["exclusions"][0]["method"] = "magic"
     reject(t, "unknown exclusion method")
@@ -618,9 +635,6 @@ def test_parser_rejects_malformed_trees():
     t = _tree(Fraction(1, 15))
     t["steps"][1]["candidates"] = ["1", "3", "5", "15"]
     reject(t, "poly step with a v1 candidate list")
-    t = _tree(Fraction(1, 8))
-    t["steps"][1]["quad_coeffs"] = ["1", "-6"]
-    reject(t, "short quadratic")
 
     assert not verify_certificate_json("not json").ok
     assert not verify_certificate_json("[]").ok
@@ -660,18 +674,25 @@ def test_any_single_field_mutation_fails():
     # a certificate must not survive any change to one of its numbers
     cases = [
         (Fraction(1, 6), "tan2"),
-        (Fraction(1, 2), "tan2"),
         (Fraction(1, 15), "tan2"),
         (Fraction(1, 9), "tan2"),
         (Fraction(1, 24), "tan2"),
         (Fraction(1, 8), "cos2"),
         (Fraction(3, 4), "tan"),
-        (Fraction(1, 3), "tan"),
         (Fraction(2, 3), "cos"),
-        (Fraction(1, 4), "cos"),
         (Fraction(7, 45), "tan2"),
         (Fraction(1, 105), "cos2"),
+        (Fraction(1, 252), "tan"),  # two doublings down to 63
+        (Fraction(1, 315), "tan2"),  # 12 divisors
+        (Fraction(11, 1890), "cos"),  # 945: 16 divisors, one doubling
     ]
+    # a pole and a base value with a square-root marker carry no number at
+    # all outside the input: there is nothing to mutate
+    bare = [(Fraction(1, 2), "tan2"), (Fraction(1, 3), "tan"), (Fraction(1, 4), "cos")]
+    for r, f in bare:
+        tree = certificate_to_tree(certify(r, f))
+        assert _mutation.mutation_sites(tree) == []
+        assert verify_certificate_json(json.dumps(tree)).ok
     total = 0
     for r, f in cases:
         tree = certificate_to_tree(certify(r, f))
@@ -691,7 +712,8 @@ def test_mutation_helper_targets_numbers_only():
              for r, f in [(Fraction(1, 15), "tan2"), (Fraction(1, 6), "cos2")]]
     sites = [site for tree in trees for site in _mutation.mutation_sites(tree)]
     kinds = {kind for _, kind in sites}
-    assert kinds == {"int", "int_string", "rational_string"}
+    # version is the only JSON integer left, and it is outside the sites
+    assert kinds == {"int_string", "rational_string"}
     # top-level fields stay untouched
     for path, _ in sites:
         assert path[0] in ("verdict", "steps")
@@ -705,10 +727,12 @@ def test_format_errors_name_the_json_path():
         ((*exc, 0, "method"), None, "steps[1].exclusions[0]"),
         ((*exc, 1, "method"), "separation", "steps[1].exclusions[1]"),
         (("steps", 1, "q"), "-0", "steps[1].q"),
-        (("steps", 0, "angles", 0, "sign"), True, "steps[0].angles[0].sign"),
+        (("steps", 0, "doublings"), 0, "steps[0].doublings"),
+        (("steps", 0, "angles"), [], "steps[0]"),
+        (("steps", 1, "type"), "identity_step", "steps[1]"),
         (("verdict", "kind"), ["irrational"], "verdict"),
         (("input",), "2/30", "input"),
-        (("version",), 1, "certificate"),
+        (("version",), 2, "certificate"),
     ]
     for path, value, where in cases:
         tree = _tree(Fraction(1, 15))
@@ -722,7 +746,10 @@ def test_format_errors_name_the_json_path():
 
 def test_wire_bytes_are_pinned():
     # every reduced angle with denominator <= 30, all four functions: every
-    # step type and both exclusion methods, byte for byte
+    # step type and both exclusion methods, byte for byte.  The digest is that
+    # of the version-2 output with each tree rewritten to version 3 (identity
+    # steps dropped, chain angles replaced by their count less one, base,
+    # quadratic and square-root steps cut to their type and stop)
     digest = hashlib.sha256()
     for n in range(1, 31):
         for d in range(n):
@@ -730,7 +757,7 @@ def test_wire_bytes_are_pinned():
                 for f in FUNCTIONS:
                     digest.update(to_json(certify(Fraction(d, n), f)).encode())
     assert digest.hexdigest() == (
-        "c996a62ca037a229c0f22768c6ed84218b81ce30d94be2dbc1bbc203dff36ff1"
+        "995df61827155e0ab1f7cf6b61f7b38a30306ed1697e664994d5de21c31643f6"
     )
 
 
@@ -751,6 +778,77 @@ def test_version_1_certificates_are_rejected():
     }
     res = verify_certificate_json(json.dumps(v1))
     assert res.reason == "certificate: unsupported version 1"
+
+
+def test_version_2_certificates_are_rejected():
+    v2 = {
+        "version": 2,
+        "input": "1/10",
+        "function": "cos",
+        "verdict": {"kind": "irrational"},
+        "steps": [
+            {"type": "identity_step", "relation": "cos2 = 1/(1+tan2)"},
+            {"type": "identity_step", "relation": "cos2 = cos^2"},
+            {"type": "chain", "angles": [
+                {"d": "1", "n": "10", "sign": 1}, {"d": "1", "n": "5", "sign": 1}]},
+            {"type": "poly", "q": "5", "exclusions": [
+                {"candidate": "1", "method": "nonroot", "Q_value": "-4"},
+                {"candidate": "5", "method": "nonroot", "Q_value": "-20"}]},
+        ],
+    }
+    res = verify_certificate_json(json.dumps(v2))
+    assert res.reason == "certificate: unsupported version 2"
+    # the same certificate in version 3
+    v3 = {**v2, "version": 3,
+          "steps": [{"type": "chain", "doublings": "1"}, v2["steps"][3]]}
+    assert from_json(json.dumps(v3)) == certify(Fraction(1, 10), "cos")
+    assert verify_certificate_json(json.dumps(v3)).ok
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    a=st.integers(0, 64),
+    q=st.integers(0, 150).map(lambda i: 2 * i + 1),
+    k=st.integers(1, 10**6),
+    shift=st.integers(-3, 3),
+    sign=st.sampled_from([1, -1]),
+    f=st.sampled_from(FUNCTIONS),
+)
+def test_doublings_round_trip_and_bind(a, q, k, shift, sign, f):
+    # denominators 2^a * q: any input round-trips and verifies, and a chain
+    # that claims one doubling more or less is rejected
+    n = q << a
+    num = k % n
+    assume(gcd(num, n) == 1)
+    r = sign * (Fraction(num, n) + shift)
+    cert = certify(r, f)
+    assert cert.verdict == classify(r, f)
+    text = to_json(cert)
+    assert verify_certificate_json(text).ok, (r, f)
+    tree = json.loads(text)
+    chain = [s for s in tree["steps"] if s["type"] == "chain"]
+    assert len(chain) == (n not in (1, 2, 3, 4, 6))
+    for s in chain:
+        doublings = int(s["doublings"])
+        assert doublings == a - {1: 3, 3: 2}.get(q, 0)
+        for wrong in (doublings - 1, doublings + 1):
+            s["doublings"] = str(wrong)
+            res = verify_certificate_json(json.dumps(tree))
+            assert res.reason == "chain length mismatch", (r, f, wrong)
+
+
+def test_long_chain_certificates_stay_small():
+    # 14000 doublings; the input alone has 4216 digits, under the default
+    # int-to-str limit.  The chain is one number on the wire.
+    r = Fraction(1, 5 << 14000)
+    start = time.perf_counter()
+    for f in FUNCTIONS:
+        text = to_json(certify(r, f))
+        assert len(text) < 5000, f
+        assert '"doublings": "14000"' in text
+        res = verify_certificate_json(text)
+        assert res.ok, (f, res.reason)
+    assert time.perf_counter() - start < 2.0
 
 
 _JSON_VALUES = st.recursive(
