@@ -25,6 +25,10 @@ from .polynomial import tan_squared_poly
 __all__ = ["run", "main"]
 
 _ANGLE_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?\Z")
+# The largest N whose coefficients C(N, 2j+1) all print under Python's
+# default int-to-str limit of 4,300 digits; `poly` rejects larger N before
+# building anything.
+POLY_MAX_N = 14291
 
 
 def _parse_angle(text: str) -> Fraction:
@@ -113,6 +117,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_poly(args: argparse.Namespace) -> int:
+    if args.n > POLY_MAX_N:
+        raise ValueError(f"poly takes N up to {POLY_MAX_N}, got {args.n}")
     p = tan_squared_poly(args.n)
     print(str(list(p.coeffs)))
     return 0

@@ -13,10 +13,14 @@ returned interval is a guarantee, not an estimate.
     their alternating power series with the same first-omitted-term bound.
   * tan^2 = sin^2 / cos^2 with outward-rounded interval division.
 
-The public evaluators return intervals whose center sits on the dyadic grid
-2^-(bits+4) with half-width 2^-(bits+1), so the width is exactly 2^-bits
-(within the 2^(1-bits) contract) and enclosures at higher bit counts nest
-inside those at lower ones by construction.
+A published enclosure is an integer centre c on the grid G = 2^(bits+4): the
+interval [(c-8)/G, (c+8)/G], so the width is exactly 2^-bits (within the
+2^(1-bits) contract) and enclosures at higher bit counts nest inside those
+at lower ones by construction.  The public evaluators return it as a
+RatInterval; `crosscheck` never builds one and compares values p/q with it
+by cross-multiplying integers.  Bounded LRU caches hold the work: pi per
+scale, the tan^2 centre per (d, n, bits), and the raw cos enclosure per
+angle folded into [0, 1/2], negated and snapped per sign.
 """
 
 from __future__ import annotations
@@ -87,9 +91,6 @@ def _ceil_div(a: int, b: int) -> int:
 
 # ---------------------------------------------------------------- pi ------
 
-_pi_cache: dict[int, tuple[int, int]] = {}
-
-
 def _arctan_recip_scaled(x: int, w: int) -> tuple[int, int]:
     """Enclosure of arctan(1/x) * 2^w for integer x >= 2.
 
@@ -116,21 +117,14 @@ def _arctan_recip_scaled(x: int, w: int) -> tuple[int, int]:
         xpow *= x2
 
 
+@lru_cache(maxsize=64)
 def _pi_scaled(w: int) -> tuple[int, int]:
-    """Enclosure of pi * 2^w, cached per scale.
-
-    Two threads that miss the cache at once both compute the same value, and
-    the second store overwrites the first with an equal one.
-    """
-    got = _pi_cache.get(w)
-    if got is not None:
-        return got
+    """Enclosure of pi * 2^w, cached per scale."""
     # work 8 bits finer, then round outward
     a_lo, a_hi = _arctan_recip_scaled(5, w + 8)
     b_lo, b_hi = _arctan_recip_scaled(239, w + 8)
     lo = (16 * a_lo - 4 * b_hi) >> 8
     hi = _ceil_div(16 * a_hi - 4 * b_lo, 256)
-    _pi_cache[w] = (lo, hi)
     return lo, hi
 
 
@@ -201,19 +195,26 @@ def _sqr_scaled(lo: int, hi: int, w: int) -> tuple[int, int]:
     return 0, -((-big) >> w)
 
 
-def _pad(lo: int, hi: int, w: int, bits: int) -> RatInterval:
-    """Snap a raw enclosure (width <= 2^-(bits+4)) to the published form.
+def _centre(lo: int, hi: int, w: int, bits: int) -> int:
+    """Snap a raw enclosure (width <= 2^-(bits+4)) to its published centre.
 
-    Center rounds to the 2^-(bits+4) grid; the returned half-width 2^-(bits+1)
-    leaves enough margin that higher-bits enclosures always nest.
+    The centre rounds to the 2^-(bits+4) grid; the published half-width
+    2^-(bits+1) leaves enough margin that higher-bits enclosures always nest.
     """
     shift = w - bits - 4
-    center = (lo + hi + (1 << shift)) >> (shift + 1)
+    return (lo + hi + (1 << shift)) >> (shift + 1)
+
+
+def _published(centre: int, bits: int) -> RatInterval:
     grid = 1 << (bits + 4)
-    return RatInterval(Fraction(center - 8, grid), Fraction(center + 8, grid))
+    return RatInterval(Fraction(centre - 8, grid), Fraction(centre + 8, grid))
 
 
 # ------------------------------------------------------------ public ------
+
+# Entries per cache.  A scan revisits an angle only within its own
+# denominator, so this holds every reuse for denominators up to about 2000.
+_CACHE_SIZE = 1024
 
 
 def eval_tan_squared(angle: ReducedAngle | Fraction | int, bits: int) -> RatInterval:
@@ -228,11 +229,11 @@ def eval_tan_squared(angle: ReducedAngle | Fraction | int, bits: int) -> RatInte
         raise ValueError(f"bits must be at least {MIN_BITS}")
     if angle.n == 2:
         raise PoleError("tan^2 has a pole at denominator 2")
-    return _eval_tan_squared_cached(angle.d, angle.n, bits)
+    return _published(_tan2_centre(angle.d, angle.n, bits), bits)
 
 
-@lru_cache(maxsize=None)
-def _eval_tan_squared_cached(d: int, n: int, bits: int) -> RatInterval:
+@lru_cache(maxsize=_CACHE_SIZE)
+def _tan2_centre(d: int, n: int, bits: int) -> int:
     guard = 16 + 2 * n.bit_length()
     while True:
         w = bits + 4 + guard
@@ -244,7 +245,7 @@ def _eval_tan_squared_cached(d: int, n: int, bits: int) -> RatInterval:
             lo = (s2_lo << w) // c2_hi
             hi = _ceil_div(s2_hi << w, c2_lo)
             if hi - lo <= 1 << (w - bits - 4):
-                return _pad(lo, hi, w, bits)
+                return _centre(lo, hi, w, bits)
         guard *= 2
 
 
@@ -254,22 +255,27 @@ def eval_cos(angle: ReducedAngle | Fraction | int, bits: int) -> RatInterval:
         angle = reduce_for_cos(angle)
     if bits < MIN_BITS:
         raise ValueError(f"bits must be at least {MIN_BITS}")
-    return _eval_cos_cached(angle.d, angle.n, bits)
+    return _published(_cos_centre(angle.d, angle.n, bits), bits)
 
 
-@lru_cache(maxsize=None)
-def _eval_cos_cached(d: int, n: int, bits: int) -> RatInterval:
-    flip = 2 * d > n
-    if flip:
-        d = n - d
+def _cos_centre(d: int, n: int, bits: int) -> int:
+    # cos((1 - x) pi) = -cos(x pi); the raw enclosure is negated before it
+    # is snapped, so a tie rounds up on both sides of the fold
+    if 2 * d > n:
+        lo, hi, w = _cos_raw(n - d, n, bits)
+        return _centre(-hi, -lo, w, bits)
+    return _centre(*_cos_raw(d, n, bits), bits)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _cos_raw(d: int, n: int, bits: int) -> tuple[int, int, int]:
+    """Raw enclosure (lo, hi, w) of cos(d/n * pi) * 2^w for d/n in [0, 1/2]."""
     guard = 16
     while True:
         w = bits + 4 + guard
         lo, hi = _cospi_scaled(d, n, w)
-        if flip:
-            lo, hi = -hi, -lo
         if hi - lo <= 1 << (w - bits - 4):
-            return _pad(lo, hi, w, bits)
+            return lo, hi, w
         guard *= 2
 
 
@@ -322,23 +328,12 @@ def eval_poly_at_tan_squared(
 
 # ---------------------------------------------------------- crosscheck ----
 
-_EXCEPTIONAL_TAN2 = (Fraction(0), Fraction(1), Fraction(1, 3), Fraction(3))
+# exceptional values as (numerator, denominator) pairs, denominator > 0
+_EXCEPTIONAL_TAN2 = ((0, 1), (1, 1), (1, 3), (3, 1))
 # tan is rational iff tan^2 is 0 or 1
-_EXCEPTIONAL_TAN2_FOR_TAN = (Fraction(0), Fraction(1))
-_EXCEPTIONAL_COS2 = (
-    Fraction(0),
-    Fraction(1),
-    Fraction(1, 2),
-    Fraction(1, 4),
-    Fraction(3, 4),
-)
-_EXCEPTIONAL_COS = (
-    Fraction(0),
-    Fraction(1),
-    Fraction(-1),
-    Fraction(1, 2),
-    Fraction(-1, 2),
-)
+_EXCEPTIONAL_TAN2_FOR_TAN = ((0, 1), (1, 1))
+_EXCEPTIONAL_COS2 = ((0, 1), (1, 1), (1, 2), (1, 4), (3, 4))
+_EXCEPTIONAL_COS = ((0, 1), (1, 1), (-1, 1), (1, 2), (-1, 2))
 
 
 def crosscheck(
@@ -346,70 +341,68 @@ def crosscheck(
 ) -> bool:
     """Check a claimed verdict against certified numerics.
 
-    Pole claims are checked symbolically (only the exact reduced angle is the
+    `bits`, the starting precision, must lie in [MIN_BITS, MAX_BITS].  Pole
+    claims are checked symbolically (only the exact reduced angle is the
     pole).  Exact claims pass iff the claimed value lies in the enclosure.
-    Irrational claims pass once some refinement up to the bit cap excludes
+    Irrational claims pass once some refinement up to MAX_BITS excludes
     every member of the function's exceptional value set.
     """
+    if not MIN_BITS <= bits <= MAX_BITS:
+        raise ValueError(f"bits must be in [{MIN_BITS}, {MAX_BITS}]")
     if function == "cos":
         if verdict.kind == "pole":
             return False
         red = reduce_for_cos(r)
-        if verdict.kind == "exact":
-            return verdict.value in eval_cos(red, bits)
-        return _refine_excludes(lambda b: eval_cos(red, b), _EXCEPTIONAL_COS, bits)
-
+        return _check(_cos_centre, red, _outside, _EXCEPTIONAL_COS, verdict, bits)
+    if function not in ("tan2", "tan", "cos2"):
+        raise ValueError(f"unknown function {function!r}")
     red = reduce_for_tan(r)
-    at_pole = red.n == 2
-    if function == "tan2":
-        if verdict.kind == "pole":
-            return at_pole
-        if at_pole:
-            return False
-        if verdict.kind == "exact":
-            return verdict.value in eval_tan_squared(red, bits)
-        return _refine_excludes(
-            lambda b: eval_tan_squared(red, b), _EXCEPTIONAL_TAN2, bits
-        )
+    if red.n == 2:
+        if function == "cos2":
+            return verdict.kind == "exact" and verdict.value == 0
+        return verdict.kind == "pole"
+    if verdict.kind == "pole":
+        return False
+    if function == "cos2":
+        values = _EXCEPTIONAL_COS2
+        return _check(_tan2_centre, red, _outside_cos2, values, verdict, bits)
+    values = _EXCEPTIONAL_TAN2
     if function == "tan":
-        if verdict.kind == "pole":
-            return at_pole
-        if at_pole:
-            return False
         if verdict.kind == "exact":
             v = verdict.value
-            if v * v not in eval_tan_squared(red, bits):
+            if v != 0 and (v > 0) != (red.sign > 0):
                 return False
-            return v == 0 or (v > 0) == (red.sign > 0)
-        return _refine_excludes(
-            lambda b: eval_tan_squared(red, b), _EXCEPTIONAL_TAN2_FOR_TAN, bits
-        )
-    if function == "cos2":
-        if verdict.kind == "pole":
-            return False
-        if at_pole:
-            return verdict.kind == "exact" and verdict.value == 0
-
-        def cos2_interval(b: int) -> RatInterval:
-            # 1/(1 + t) = v/(u + v) for t = u/v, decreasing in t
-            t = eval_tan_squared(red, b)
-            lo, hi = t.lo, t.hi
-            return RatInterval(
-                Fraction(hi.denominator, hi.numerator + hi.denominator),
-                Fraction(lo.denominator, lo.numerator + lo.denominator),
-            )
-
-        if verdict.kind == "exact":
-            return verdict.value in cos2_interval(bits)
-        return _refine_excludes(cos2_interval, _EXCEPTIONAL_COS2, bits)
-    raise ValueError(f"unknown function {function!r}")
+            verdict = TrigVerdict.exact(v * v)
+        values = _EXCEPTIONAL_TAN2_FOR_TAN
+    return _check(_tan2_centre, red, _outside, values, verdict, bits)
 
 
-def _refine_excludes(make, values, bits: int) -> bool:
+def _outside(p: int, q: int, c: int, g: int) -> bool:
+    """p/q (q > 0) lies outside [(c-8)/g, (c+8)/g]."""
+    return p * g < (c - 8) * q or p * g > (c + 8) * q
+
+
+def _outside_cos2(p: int, q: int, c: int, g: int) -> bool:
+    """p/q lies outside [g/(g+c+8), g/(g+c-8)], the cos^2 = 1/(1 + tan^2)
+    image of the tan^2 enclosure; c >= 0, so both denominators are positive."""
+    return p * (g + c + 8) < g * q or p * (g + c - 8) > g * q
+
+
+def _check(
+    centre, red: ReducedAngle, outside, values, verdict: TrigVerdict, bits: int
+) -> bool:
+    """Exact claims: the value lies in the enclosure at `bits`.  Irrational
+    claims: some enclosure, doubling the bits up to MAX_BITS, excludes every
+    exceptional value.  centre(d, n, b) gives the enclosure's grid centre."""
+    d, n = red.d, red.n
+    if verdict.kind == "exact":
+        v = as_fraction(verdict.value)
+        c, g = centre(d, n, bits), 1 << (bits + 4)
+        return not outside(v.numerator, v.denominator, c, g)
     b = bits
     while b <= MAX_BITS:
-        iv = make(b)
-        if all(iv.excludes(v) for v in values):
+        c, g = centre(d, n, b), 1 << (b + 4)
+        if all(outside(p, q, c, g) for p, q in values):
             return True
         b *= 2
     return False

@@ -2,17 +2,19 @@
 
 import io
 import json
+import math
 import re
 import shlex
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from trig_rational.certifier import certificate_to_tree, certify, to_json
-from trig_rational.cli import run
+from trig_rational.cli import POLY_MAX_N, run
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -115,6 +117,20 @@ def test_poly_command(capsys):
     capsys.readouterr()
     assert run(["poly", "1"]) == 2
     capsys.readouterr()
+
+
+def test_poly_cap(capsys):
+    # the largest coefficient of tan_squared_poly(N) is C(N, (N-1)/2), and a
+    # number prints under the 4,300-digit limit iff it is below 10^4300
+    limit = 10**4300
+    assert math.comb(POLY_MAX_N, POLY_MAX_N // 2) < limit
+    assert math.comb(POLY_MAX_N + 2, POLY_MAX_N // 2 + 1) >= limit
+    start = time.perf_counter()
+    assert run(["poly", str(POLY_MAX_N + 2)]) == 2
+    assert time.perf_counter() - start < 0.1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: poly takes N up to {POLY_MAX_N}, got {POLY_MAX_N + 2}\n"
 
 
 def test_certify_command(capsys):

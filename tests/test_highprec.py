@@ -1,6 +1,7 @@
 """Tests for the certified interval evaluation of tan^2 and cos."""
 
 import concurrent.futures
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -8,8 +9,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trig_rational.angle import PoleError, ReducedAngle
-from trig_rational.classifier import IRRATIONAL, POLE, TrigVerdict, classify
+from trig_rational import highprec
+from trig_rational.angle import PoleError, ReducedAngle, reduce_for_cos, reduce_for_tan
+from trig_rational.classifier import FUNCTIONS, IRRATIONAL, POLE, TrigVerdict, classify
 from trig_rational.exact_core import gcd
 from trig_rational.highprec import (
     MAX_BITS,
@@ -126,6 +128,41 @@ def test_eval_widths_and_floats():
             assert t.width <= Fraction(1, 1 << 64)
             want = math.tan(d / n * math.pi) ** 2
             assert math.isclose(float(t.midpoint), want, rel_tol=1e-9, abs_tol=1e-12)
+
+
+def test_enclosures_are_pinned():
+    # every endpoint for n <= 60, 0 <= d <= 2n, at 8, 64 and 128 bits; the
+    # digest is that of the Fraction-valued evaluators the centre caches replaced
+    h = hashlib.sha256()
+    for n in range(1, 61):
+        for d in range(0, 2 * n + 1):
+            r = Fraction(d, n)
+            for bits in (8, 64, 128):
+                ivs = [eval_cos(r, bits)]
+                if reduce_for_tan(r).n != 2:
+                    ivs.append(eval_tan_squared(r, bits))
+                for iv in ivs:
+                    h.update(f"{iv.lo} {iv.hi}\n".encode())
+    assert h.hexdigest() == (
+        "3195fdeaf53f06c188625115d490a3b61c776f876460e9d6ff3a7dc10984aaa9"
+    )
+
+
+def test_cos_ties_round_after_negation():
+    # the raw enclosures of cos(202/719 pi) and cos(310/939 pi) at 8 bits have
+    # their midpoints exactly half-way between grid points; cos(517/719 pi)
+    # and cos(629/939 pi) negate them and then round the tie up, one grid
+    # step above the negated enclosures
+    step = Fraction(1, 1 << 12)
+    for d, n in ((517, 719), (629, 939)):
+        a = eval_cos(Fraction(n - d, n), 8)
+        b = eval_cos(Fraction(d, n), 8)
+        assert (b.lo, b.hi) == (-a.hi + step, -a.lo + step)
+
+
+def test_enclosure_caches_are_bounded():
+    for cached in (highprec._tan2_centre, highprec._cos_raw, highprec._pi_scaled):
+        assert cached.cache_info().maxsize is not None
 
 
 def test_enclosures_nest_as_bits_grow():
@@ -245,6 +282,121 @@ def test_crosscheck_examples():
 
     with pytest.raises(ValueError):
         crosscheck(F(1, 6), "sin", IRRATIONAL)
+
+
+def test_crosscheck_rejects_bits_outside_its_range():
+    # above MAX_BITS the refinement loop would never run, and a pole claim
+    # needs no enclosure at all: both are refused before any work
+    r = Fraction(1, 5)
+    for bits in (MIN_BITS - 1, 3, 0, -8, MAX_BITS + 1, 5000):
+        for f, claim in (
+            ("tan2", IRRATIONAL),
+            ("tan2", TrigVerdict.exact(1)),
+            ("tan", POLE),
+            ("cos2", IRRATIONAL),
+            ("cos", TrigVerdict.exact(0)),
+        ):
+            with pytest.raises(ValueError, match="bits"):
+                crosscheck(r, f, claim, bits=bits)
+        with pytest.raises(ValueError, match="bits"):
+            crosscheck(Fraction(1, 2), "tan2", POLE, bits=bits)
+    for bits in (MIN_BITS, MAX_BITS):
+        assert crosscheck(r, "tan2", IRRATIONAL, bits=bits)
+        assert not crosscheck(r, "tan2", TrigVerdict.exact(1), bits=bits)
+        assert crosscheck(Fraction(1, 2), "tan2", POLE, bits=bits)
+
+
+# Reference for the integer kernel: the Fraction-based rule it replaced,
+# comparing claims with the public enclosures by Fraction comparisons.
+_ORACLE_EXCEPTIONAL = {
+    "tan2": (0, 1, Fraction(1, 3), 3),
+    "tan": (0, 1),
+    "cos2": (0, 1, Fraction(1, 2), Fraction(1, 4), Fraction(3, 4)),
+    "cos": (0, 1, -1, Fraction(1, 2), Fraction(-1, 2)),
+}
+
+
+def _oracle_interval(red, f, bits):
+    if f == "cos":
+        return eval_cos(red, bits)
+    t = eval_tan_squared(red, bits)
+    if f == "cos2":
+        return RatInterval(1 / (1 + t.hi), 1 / (1 + t.lo))
+    return t
+
+
+def _oracle_crosscheck(r, f, verdict, bits):
+    if f == "cos":
+        if verdict.kind == "pole":
+            return False
+        red = reduce_for_cos(r)
+    else:
+        red = reduce_for_tan(r)
+        if red.n == 2:
+            if f == "cos2":
+                return verdict.kind == "exact" and verdict.value == 0
+            return verdict.kind == "pole"
+        if verdict.kind == "pole":
+            return False
+    if verdict.kind == "exact":
+        v = verdict.value
+        iv = _oracle_interval(red, f, bits)
+        if f == "tan":
+            return iv.lo <= v * v <= iv.hi and (v == 0 or (v > 0) == (red.sign > 0))
+        return iv.lo <= v <= iv.hi
+    b = bits
+    while b <= MAX_BITS:
+        iv = _oracle_interval(red, f, b)
+        if all(v < iv.lo or v > iv.hi for v in _ORACLE_EXCEPTIONAL[f]):
+            return True
+        b *= 2
+    return False
+
+
+def _boundary_claims(r, f, bits):
+    """Values at the enclosure's endpoints and one grid step outside them."""
+    if f == "cos":
+        iv = eval_cos(r, bits)
+    elif reduce_for_tan(r).n == 2:
+        return []
+    else:
+        iv = eval_tan_squared(r, bits)
+    g = 1 << (bits + 4)
+    step = Fraction(1, g)
+    ends = [iv.lo, iv.hi, iv.lo - step, iv.hi + step]
+    if f == "cos2":
+        # the cos^2 interval is the image of tan^2's under 1/(1 + t)
+        ends = [1 / (1 + t) for t in ends if t > -1]
+    elif f == "tan":
+        # rationals on the 1/g grid just below and above sqrt of each end
+        roots = [math.isqrt(int(t * g * g)) for t in ends if t >= 0]
+        ends = [Fraction(a + k, g) for a in roots for k in (0, 1)]
+        ends += [-v for v in ends]
+    return ends
+
+
+_EXACT_VALUES = sorted(
+    {Fraction(v) for vs in _ORACLE_EXCEPTIONAL.values() for v in vs}
+    | {Fraction(-1, 3), Fraction(-3), Fraction(-1, 4)}
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    n=st.integers(1, 12) | st.integers(1, 10**4),
+    d=st.integers(-(10**4), 2 * 10**4),
+    f=st.sampled_from(FUNCTIONS),
+    bits=st.sampled_from([8, 9, 64, 128]),
+)
+def test_crosscheck_matches_fraction_oracle(n, d, f, bits):
+    r = Fraction(d, n)
+    claims = [classify(r, f), IRRATIONAL, POLE]
+    claims += [TrigVerdict.exact(v) for v in _EXACT_VALUES]
+    claims += [TrigVerdict.exact(v) for v in _boundary_claims(r, f, bits)]
+    for claim in claims:
+        got = crosscheck(r, f, claim, bits)
+        assert got == _oracle_crosscheck(r, f, claim, bits), claim
+    assert crosscheck(r, f, classify(r, f), bits)
 
 
 def test_crosscheck_agrees_with_classifier():
