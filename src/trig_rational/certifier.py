@@ -45,8 +45,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Any, Callable, NamedTuple
 
-from .angle import odd_part, reduce_for_cos, reduce_for_tan, tan_squared_base_value
-from .classifier import FUNCTIONS, IRRATIONAL, POLE, TrigVerdict
+from .angle import _cos_fold, _tan_fold, odd_part, tan_squared_base_value
+from .classifier import _TAN2_VERDICTS, FUNCTIONS, IRRATIONAL, POLE, TrigVerdict
 from .exact_core import as_fraction, divisors, gcd, rational_sqrt
 from .polynomial import tan_squared_poly_at
 
@@ -177,18 +177,18 @@ def certify(r: Fraction | int, function: str = "tan2") -> Certificate:
     r = as_fraction(r)
     if function not in FUNCTIONS:
         raise ValueError(f"unknown function {function!r}")
-    red = reduce_for_tan(r)
-    t_verdict, steps = _tan2_steps(red.n)
+    _, n, sign = _tan_fold(r)
+    t_verdict, steps = _tan2_steps(n)
     if function == "tan2":
         return Certificate(r, function, t_verdict, steps)
     if function == "cos2":
         return Certificate(r, function, _cos2_of(t_verdict), steps)
     # tan and cos are signed square roots of tan^2 and cos^2
     if function == "tan":
-        squared, sign = t_verdict, red.sign
+        squared = t_verdict
     else:
-        redc = reduce_for_cos(r)
-        squared, sign = _cos2_of(t_verdict), -1 if 2 * redc.d > redc.n else 1
+        d, m = _cos_fold(r)
+        squared, sign = _cos2_of(t_verdict), -1 if 2 * d > m else 1
     if squared.kind != "exact":
         return Certificate(r, function, squared, steps)
     root = rational_sqrt(squared.value)
@@ -206,11 +206,14 @@ def _cos2_of(t_verdict: TrigVerdict) -> TrigVerdict:
     return IRRATIONAL
 
 
+@lru_cache(maxsize=1024)
 def _tan2_steps(n: int) -> tuple[TrigVerdict, tuple[CertStep, ...]]:
-    """The verdict on tan^2 at reduced denominator n, and the steps proving it."""
-    if n in (1, 2, 3, 4, 6):
-        value = tan_squared_base_value(n)
-        return (POLE if value is None else TrigVerdict.exact(value)), (BaseStep(),)
+    """The verdict on tan^2 at reduced denominator n, and the steps proving it.
+
+    Both depend on n alone, so they are memoised per n.
+    """
+    if n in _TAN2_VERDICTS:
+        return _TAN2_VERDICTS[n], (BaseStep(),)
     a, q = odd_part(n)
     if q >= 5:
         return IRRATIONAL, (ChainStep(a), PolyStep(q, _exclusions_for(q)))
@@ -250,12 +253,11 @@ def _exclusion(q: int, c: int) -> Exclusion:
     return Exclusion(c, "nonroot", q_value=value) if value else Exclusion(c, "angle")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _poly_value_at(q: int, candidate: int) -> int:
     return tan_squared_poly_at(q, candidate)
 
 
-@lru_cache(maxsize=None)
 def _exclusions_for(q: int) -> tuple[Exclusion, ...]:
     return tuple(_exclusion(q, c) for c in divisors(q))
 
@@ -267,6 +269,9 @@ class _Fail(Exception):
     def __init__(self, reason: str) -> None:
         super().__init__(reason)
         self.reason = reason
+
+
+_OK = VerificationResult(True)
 
 
 def verify_certificate(cert: Certificate) -> VerificationResult:
@@ -288,20 +293,20 @@ def verify_certificate(cert: Certificate) -> VerificationResult:
         return VerificationResult(False, f.reason)
     if entailed != cert.verdict:
         return VerificationResult(False, "verdict not entailed")
-    return VerificationResult(True)
+    return _OK
 
 
 def _entailed_verdict(cert: Certificate) -> TrigVerdict:
     r, steps = cert.input, cert.steps
-    red = reduce_for_tan(r)
+    _, n, sign = _tan_fold(r)
     if cert.function == "tan2":
-        return _core_tan2(red.n, steps)
+        return _core_tan2(n, steps)
     if cert.function == "cos2":
-        return _cos2_of(_core_tan2(red.n, steps))
+        return _cos2_of(_core_tan2(n, steps))
     if cert.function == "tan":
-        return _root_from_core(red.n, steps, lambda t: t, red.sign)
-    redc = reduce_for_cos(r)
-    return _root_from_core(red.n, steps, _cos2_of, -1 if 2 * redc.d > redc.n else 1)
+        return _root_from_core(n, steps, lambda t: t, sign)
+    d, m = _cos_fold(r)
+    return _root_from_core(n, steps, _cos2_of, -1 if 2 * d > m else 1)
 
 
 def _core_tan2(n: int, steps: tuple[CertStep, ...]) -> TrigVerdict:

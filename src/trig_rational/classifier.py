@@ -13,9 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .angle import (
+    ReducedAngle,
+    _cos_fold,
+    _tan_fold,
     cos_base_value,
-    reduce_for_cos,
-    reduce_for_tan,
     tan_squared_base_value,
 )
 from .exact_core import as_fraction
@@ -61,44 +62,47 @@ POLE = TrigVerdict("pole")
 IRRATIONAL = TrigVerdict("irrational")
 
 
+# the verdicts at the base denominators, keyed as the folds return them
+_TAN2_VERDICTS = {
+    n: POLE if v is None else TrigVerdict.exact(v)
+    for n in (1, 2, 3, 4, 6)
+    for v in (tan_squared_base_value(n),)
+}
+_COS2_VERDICTS = {
+    n: TrigVerdict.exact(0 if t.kind == "pole" else 1 / (1 + t.value))
+    for n, t in _TAN2_VERDICTS.items()
+}
+_COS_VERDICTS = {
+    (d, n): TrigVerdict.exact(cos_base_value(ReducedAngle(d, n)))
+    for d, n in ((0, 1), (1, 1), (1, 2), (1, 3), (2, 3))
+}
+
+
 def classify_tan_squared(r: Fraction | int) -> TrigVerdict:
     """tan^2(r*pi): Pole at denominator 2, exact on {1, 3, 4, 6}, else irrational."""
-    red = reduce_for_tan(r)
-    if red.n == 2:
-        return POLE
-    if red.n in (1, 3, 4, 6):
-        return TrigVerdict.exact(tan_squared_base_value(red.n))
-    return IRRATIONAL
+    return _TAN2_VERDICTS.get(_tan_fold(r)[1], IRRATIONAL)
 
 
 def classify_tan(r: Fraction | int) -> TrigVerdict:
     """tan(r*pi): exact only at denominators 1 and 4 (values 0 and +-1)."""
-    red = reduce_for_tan(r)
-    if red.n == 1:
+    _, n, sign = _tan_fold(r)
+    if n == 1:
         return TrigVerdict.exact(0)
-    if red.n == 2:
+    if n == 2:
         return POLE
-    if red.n == 4:
-        return TrigVerdict.exact(red.sign)
+    if n == 4:
+        return TrigVerdict.exact(sign)
     return IRRATIONAL
 
 
 def classify_cos_squared(r: Fraction | int) -> TrigVerdict:
     """cos^2(r*pi) = 1/(1 + tan^2(r*pi)); the pole of tan^2 becomes the value 0."""
-    t = classify_tan_squared(r)
-    if t.kind == "pole":
-        return TrigVerdict.exact(0)
-    if t.kind == "exact":
-        return TrigVerdict.exact(1 / (1 + t.value))
-    return IRRATIONAL
+    return _COS2_VERDICTS.get(_tan_fold(r)[1], IRRATIONAL)
 
 
 def classify_cos(r: Fraction | int) -> TrigVerdict:
     """cos(r*pi): exact only at cos-reduced denominators 1, 2, 3."""
-    red = reduce_for_cos(r)
-    if red.n in (1, 2, 3):
-        return TrigVerdict.exact(cos_base_value(red))
-    return IRRATIONAL
+    return _COS_VERDICTS.get(_cos_fold(r), IRRATIONAL)
 
 
 def classify(r: Fraction | int, function: str) -> TrigVerdict:

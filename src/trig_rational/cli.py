@@ -19,7 +19,7 @@ from .certifier import verify_certificate, verify_certificate_json
 from .classifier import FUNCTIONS, TrigVerdict, classify
 from .exact_core import gcd
 from .highprec import MAX_BITS, MIN_BITS, crosscheck
-from .angle import reduce_for_cos, reduce_for_tan
+from .angle import _cos_fold, _tan_fold
 from .polynomial import tan_squared_poly
 
 __all__ = ["run", "main"]
@@ -43,11 +43,11 @@ def _parse_angle(text: str) -> Fraction:
 
 def _human_angle(r: Fraction, function: str) -> str:
     if function == "cos":
-        red = reduce_for_cos(r)
-        return f"{red.d}/{red.n}"
-    red = reduce_for_tan(r)
-    sign = "-" if function == "tan" and red.sign < 0 else ""
-    return f"{sign}{red.d}/{red.n}"
+        d, n = _cos_fold(r)
+        return f"{d}/{n}"
+    d, n, sign = _tan_fold(r)
+    minus = "-" if function == "tan" and sign < 0 else ""
+    return f"{minus}{d}/{n}"
 
 
 def _verdict_text(v: TrigVerdict) -> str:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .angle import PoleError, ReducedAngle, reduce_for_cos, reduce_for_tan
+from .angle import PoleError, ReducedAngle, _cos_fold, _tan_fold
 from .classifier import TrigVerdict
 from .exact_core import as_fraction
 from .polynomial import IntPolynomial
@@ -217,19 +217,24 @@ def _published(centre: int, bits: int) -> RatInterval:
 _CACHE_SIZE = 1024
 
 
+def _check_bits(bits: int) -> None:
+    if not MIN_BITS <= bits <= MAX_BITS:
+        raise ValueError(f"bits must be in [{MIN_BITS}, {MAX_BITS}]")
+
+
 def eval_tan_squared(angle: ReducedAngle | Fraction | int, bits: int) -> RatInterval:
     """Certified enclosure of tan^2(angle * pi), width 2^-bits.
 
-    The angle must not reduce to the pole (denominator 2).  Internal precision
-    is raised automatically until the raw enclosure is tight enough, which
-    also covers the blow-up of the division as the angle nears the pole.
+    bits must lie in [MIN_BITS, MAX_BITS].  The angle must not reduce to the
+    pole (denominator 2).  Internal precision is raised automatically until
+    the raw enclosure is tight enough, which also covers the blow-up of the
+    division as the angle nears the pole.
     """
-    angle = _as_tan_angle(angle)
-    if bits < MIN_BITS:
-        raise ValueError(f"bits must be at least {MIN_BITS}")
-    if angle.n == 2:
+    _check_bits(bits)
+    d, n = _tan_dn(angle)
+    if n == 2:
         raise PoleError("tan^2 has a pole at denominator 2")
-    return _published(_tan2_centre(angle.d, angle.n, bits), bits)
+    return _published(_tan2_centre(d, n, bits), bits)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -250,12 +255,10 @@ def _tan2_centre(d: int, n: int, bits: int) -> int:
 
 
 def eval_cos(angle: ReducedAngle | Fraction | int, bits: int) -> RatInterval:
-    """Certified enclosure of cos(angle * pi), width 2^-bits."""
-    if not isinstance(angle, ReducedAngle):
-        angle = reduce_for_cos(angle)
-    if bits < MIN_BITS:
-        raise ValueError(f"bits must be at least {MIN_BITS}")
-    return _published(_cos_centre(angle.d, angle.n, bits), bits)
+    """Certified enclosure of cos(angle * pi), width 2^-bits, bits in [MIN_BITS, MAX_BITS]."""
+    _check_bits(bits)
+    d, n = (angle.d, angle.n) if isinstance(angle, ReducedAngle) else _cos_fold(angle)
+    return _published(_cos_centre(d, n, bits), bits)
 
 
 def _cos_centre(d: int, n: int, bits: int) -> int:
@@ -279,13 +282,13 @@ def _cos_raw(d: int, n: int, bits: int) -> tuple[int, int, int]:
         guard *= 2
 
 
-def _as_tan_angle(angle: ReducedAngle | Fraction | int) -> ReducedAngle:
+def _tan_dn(angle: ReducedAngle | Fraction | int) -> tuple[int, int]:
     if isinstance(angle, ReducedAngle):
+        if 2 * angle.d <= angle.n:
+            return angle.d, angle.n
         # fold cos-style representatives from (1/2, 1] into tan's range
-        if 2 * angle.d > angle.n:
-            return reduce_for_tan(angle.fraction)
-        return angle
-    return reduce_for_tan(angle)
+        angle = angle.fraction
+    return _tan_fold(angle)[:2]
 
 
 def interval_eval(p: IntPolynomial, iv: RatInterval, bits: int) -> RatInterval:
@@ -309,12 +312,12 @@ def eval_poly_at_tan_squared(
     """Enclosure of p(tan^2(angle*pi)) with width at most 2^(8-bits) * n^3.
 
     The target width accounts for how steep p can be at large tan^2 values;
-    the input enclosure is refined until the image interval meets it.
+    the input enclosure is refined until the image interval meets it.  Both
+    bits and every refinement stay in [MIN_BITS, MAX_BITS]; a refinement
+    that would pass MAX_BITS raises ValueError.
     """
-    angle = _as_tan_angle(angle)
-    if bits < MIN_BITS:
-        raise ValueError(f"bits must be at least {MIN_BITS}")
-    target = Fraction(angle.n**3, 1 << (bits - 8))
+    _check_bits(bits)
+    target = Fraction(_tan_dn(angle)[1] ** 3, 1 << (bits - 8))
     b = bits
     while True:
         iv = eval_tan_squared(angle, b)
@@ -324,6 +327,8 @@ def eval_poly_at_tan_squared(
             return img
         ratio = width / target
         b += max(16, (ratio.numerator // ratio.denominator).bit_length() + 8)
+        if b > MAX_BITS:
+            raise ValueError(f"the enclosure needs more than {MAX_BITS} bits")
 
 
 # ---------------------------------------------------------- crosscheck ----
@@ -347,17 +352,16 @@ def crosscheck(
     Irrational claims pass once some refinement up to MAX_BITS excludes
     every member of the function's exceptional value set.
     """
-    if not MIN_BITS <= bits <= MAX_BITS:
-        raise ValueError(f"bits must be in [{MIN_BITS}, {MAX_BITS}]")
+    _check_bits(bits)
     if function == "cos":
         if verdict.kind == "pole":
             return False
-        red = reduce_for_cos(r)
-        return _check(_cos_centre, red, _outside, _EXCEPTIONAL_COS, verdict, bits)
+        d, n = _cos_fold(r)
+        return _check(_cos_centre, d, n, _outside, _EXCEPTIONAL_COS, verdict, bits)
     if function not in ("tan2", "tan", "cos2"):
         raise ValueError(f"unknown function {function!r}")
-    red = reduce_for_tan(r)
-    if red.n == 2:
+    d, n, sign = _tan_fold(r)
+    if n == 2:
         if function == "cos2":
             return verdict.kind == "exact" and verdict.value == 0
         return verdict.kind == "pole"
@@ -365,16 +369,16 @@ def crosscheck(
         return False
     if function == "cos2":
         values = _EXCEPTIONAL_COS2
-        return _check(_tan2_centre, red, _outside_cos2, values, verdict, bits)
+        return _check(_tan2_centre, d, n, _outside_cos2, values, verdict, bits)
     values = _EXCEPTIONAL_TAN2
     if function == "tan":
         if verdict.kind == "exact":
             v = verdict.value
-            if v != 0 and (v > 0) != (red.sign > 0):
+            if v != 0 and (v > 0) != (sign > 0):
                 return False
             verdict = TrigVerdict.exact(v * v)
         values = _EXCEPTIONAL_TAN2_FOR_TAN
-    return _check(_tan2_centre, red, _outside, values, verdict, bits)
+    return _check(_tan2_centre, d, n, _outside, values, verdict, bits)
 
 
 def _outside(p: int, q: int, c: int, g: int) -> bool:
@@ -389,12 +393,11 @@ def _outside_cos2(p: int, q: int, c: int, g: int) -> bool:
 
 
 def _check(
-    centre, red: ReducedAngle, outside, values, verdict: TrigVerdict, bits: int
+    centre, d: int, n: int, outside, values, verdict: TrigVerdict, bits: int
 ) -> bool:
     """Exact claims: the value lies in the enclosure at `bits`.  Irrational
     claims: some enclosure, doubling the bits up to MAX_BITS, excludes every
     exceptional value.  centre(d, n, b) gives the enclosure's grid centre."""
-    d, n = red.d, red.n
     if verdict.kind == "exact":
         v = as_fraction(verdict.value)
         c, g = centre(d, n, bits), 1 << (bits + 4)
@@ -402,7 +405,10 @@ def _check(
     b = bits
     while b <= MAX_BITS:
         c, g = centre(d, n, b), 1 << (b + 4)
-        if all(outside(p, q, c, g) for p, q in values):
+        for p, q in values:
+            if not outside(p, q, c, g):
+                break
+        else:
             return True
         b *= 2
     return False

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .exact_core import divisors, gcd
 
@@ -70,7 +69,6 @@ def tan_poly(n: int) -> IntPolynomial:
     return IntPolynomial(tuple(coeffs))
 
 
-@lru_cache(maxsize=None)
 def tan_squared_poly(n: int) -> IntPolynomial:
     """Monic degree-m polynomial with roots tan^2(k*pi/n), k = 1..m, for odd n = 2m+1.
 

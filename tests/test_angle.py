@@ -5,10 +5,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from trig_rational import certifier
 from trig_rational.angle import (
     PoleError,
     ReducedAngle,
+    _cos_fold,
+    _tan_fold,
     cos_base_value,
     double_angle_forward,
     doubling_chain,
@@ -83,6 +87,49 @@ def test_reduce_for_cos_properties():
         want = math.cos(float(r) * math.pi)
         got = math.cos(red.d / red.n * math.pi)
         assert math.isclose(want, got, rel_tol=0, abs_tol=1e-9)
+
+
+class _SubFraction(Fraction):
+    """A Fraction subclass: the folds must read it like a plain Fraction."""
+
+
+_BIG = st.integers(-(10**30), 10**30)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    _BIG,
+    _BIG.filter(bool),
+    st.sampled_from([int, Fraction, _SubFraction]),
+    st.integers(0, 100),
+    st.integers(0, 1000).map(lambda j: 2 * j + 1),
+    _BIG,
+    _BIG,
+)
+def test_int_folds_match_reduced_angles(num, den, form, a, q, k1, k2):
+    x = num if form is int else form(num, den)
+    r = Fraction(x)
+    # the reference folds in Fraction arithmetic: period 1 for tan, 2 for cos
+    t = r - math.floor(r)
+    t_ref = (1 - t, -1) if 2 * t > 1 else (t, 1)
+    c = r - 2 * math.floor(r / 2)
+    c = 2 - c if c > 1 else c
+    tan = _tan_fold(x)
+    assert tan == (t_ref[0].numerator, t_ref[0].denominator, t_ref[1])
+    assert _cos_fold(x) == (c.numerator, c.denominator)
+    assert all(type(v) is int for v in tan + _cos_fold(x))
+    red, redc = reduce_for_tan(x), reduce_for_cos(x)
+    assert tan == (red.d, red.n, red.sign)
+    assert _cos_fold(x) == (redc.d, redc.n) and redc.sign == 1
+    # numerators 2qk + 1 are coprime to n = 2^a q, so both angles reduce to n;
+    # the memoised proof equals a fresh one
+    n = q << a
+    r1, r2 = Fraction(2 * q * k1 + 1, n), Fraction(2 * q * k2 + 1, n)
+    fresh = certifier._tan2_steps.__wrapped__(_tan_fold(r1)[1])[1]
+    for f in ("tan2", "tan", "cos2", "cos"):
+        steps = certifier.certify(r1, f).steps
+        assert steps == certifier.certify(r2, f).steps
+        assert steps[: len(fresh)] == fresh
 
 
 def test_odd_part():

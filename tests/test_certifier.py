@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import _mutation
-from trig_rational import certifier
+from trig_rational import certifier, polynomial
 from trig_rational.angle import reduce_for_cos, reduce_for_tan
 from trig_rational.certifier import (
     BackwardQuadraticStep,
@@ -106,6 +106,18 @@ def test_exclusion_fields_are_ints():
         assert type(e.q_value) is int or e.method == "angle"
     # equality is by value, so a Fraction-valued candidate still matches
     assert Exclusion(Fraction(3), "angle") == Exclusion(3, "angle")
+
+
+def test_certifier_caches_are_bounded():
+    cached = [
+        f
+        for module in (certifier, polynomial)
+        for f in vars(module).values()
+        if hasattr(f, "cache_info")
+    ]
+    assert certifier._tan2_steps in cached and certifier._poly_value_at in cached
+    for f in cached:
+        assert f.cache_info().maxsize is not None, f.__name__
 
 
 class _SubFraction(Fraction):

@@ -82,12 +82,32 @@ def test_eval_tan_squared_pole_and_bad_bits():
         eval_tan_squared(Fraction(1, 2), 64)
     with pytest.raises(PoleError):
         eval_tan_squared(Fraction(3, 2), 64)
-    with pytest.raises(ValueError):
-        eval_tan_squared(Fraction(1, 5), MIN_BITS - 1)
-    with pytest.raises(ValueError):
-        eval_cos(Fraction(1, 5), MIN_BITS - 1)
-    with pytest.raises(ValueError):
-        eval_poly_at_tan_squared(tan_squared_poly(5), Fraction(1, 5), MIN_BITS - 1)
+    # bits is checked before any work: the pole never gets to raise its own
+    # error, and 65536 bits would take close to a minute
+    p = tan_squared_poly(5)
+    for bits in (MIN_BITS - 1, 0, MAX_BITS + 1, 65536):
+        for call in (
+            lambda: eval_tan_squared(Fraction(1, 2), bits),
+            lambda: eval_cos(Fraction(1, 5), bits),
+            lambda: eval_poly_at_tan_squared(p, Fraction(1, 2), bits),
+        ):
+            with pytest.raises(ValueError, match="bits"):
+                call()
+    for bits in (MIN_BITS, MAX_BITS):
+        assert 3 in eval_tan_squared(Fraction(1, 3), bits)
+        assert Fraction(1, 2) in eval_cos(Fraction(1, 3), bits)
+        assert 0 in eval_poly_at_tan_squared(p, Fraction(2, 5), bits)
+
+
+def test_eval_poly_refinement_stops_at_max_bits():
+    # a slope of 2^100 needs about 100 bits more than asked for
+    steep = IntPolynomial((0, 1 << 100))
+    iv = eval_tan_squared(Fraction(1, 5), 256)
+    img = eval_poly_at_tan_squared(steep, Fraction(1, 5), 64)
+    assert img.lo <= iv.hi * (1 << 100) and iv.lo * (1 << 100) <= img.hi
+    assert img.width <= Fraction(5**3, 1 << (64 - 8))
+    with pytest.raises(ValueError, match=str(MAX_BITS)):
+        eval_poly_at_tan_squared(steep, Fraction(1, 5), MAX_BITS - 16)
 
 
 def test_eval_tan_squared_near_pole():
