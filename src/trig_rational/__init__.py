@@ -6,117 +6,89 @@ f in {tan^2, tan, cos^2, cos}; it can emit a step-by-step certificate of
 the answer and independently verify such certificates.  Certified interval
 evaluation with exact rational endpoints cross-checks the verdicts
 numerically.
+
+Importing the package loads no submodule: each public name is imported from
+its module on first use (PEP 562), so a process that only verifies loads
+only the kernel.
 """
 
-from .angle import (
-    DoublingChain,
-    PoleError,
-    ReducedAngle,
-    cos_base_value,
-    double_angle_forward,
-    doubling_chain,
-    integer_double_angle_preimages,
-    invert_double_angle,
-    odd_part,
-    reduce_for_cos,
-    reduce_for_tan,
-    tan_squared_base_value,
-)
-from .certifier import (
-    Certificate,
-    CertificateFormatError,
-    VerificationResult,
-    certificate_from_tree,
-    certificate_to_tree,
-    certify,
-    exclude_candidate,
-    from_json,
-    to_json,
-    verify_certificate,
-    verify_certificate_json,
-)
-from .classifier import (
-    FUNCTIONS,
-    IRRATIONAL,
-    POLE,
-    TrigVerdict,
-    classify,
-    classify_cos,
-    classify_cos_squared,
-    classify_tan,
-    classify_tan_squared,
-)
-from .exact_core import (
-    binomial,
-    divisors,
-    integer_sqrt,
-    make_rational,
-    rational_sqrt,
-)
-from .highprec import (
-    RatInterval,
-    crosscheck,
-    eval_cos,
-    eval_poly_at_tan_squared,
-    eval_tan_squared,
-)
-from .polynomial import (
-    IntPolynomial,
-    rational_roots,
-    tan_poly,
-    tan_squared_poly,
-    tan_squared_poly_at,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "DoublingChain",
-    "PoleError",
-    "ReducedAngle",
-    "cos_base_value",
-    "double_angle_forward",
-    "doubling_chain",
-    "integer_double_angle_preimages",
-    "invert_double_angle",
-    "odd_part",
-    "reduce_for_cos",
-    "reduce_for_tan",
-    "tan_squared_base_value",
-    "Certificate",
-    "CertificateFormatError",
-    "VerificationResult",
-    "certificate_from_tree",
-    "certificate_to_tree",
-    "certify",
-    "exclude_candidate",
-    "from_json",
-    "to_json",
-    "verify_certificate",
-    "verify_certificate_json",
-    "FUNCTIONS",
-    "IRRATIONAL",
-    "POLE",
-    "TrigVerdict",
-    "classify",
-    "classify_cos",
-    "classify_cos_squared",
-    "classify_tan",
-    "classify_tan_squared",
-    "binomial",
-    "divisors",
-    "integer_sqrt",
-    "make_rational",
-    "rational_sqrt",
-    "RatInterval",
-    "crosscheck",
-    "eval_cos",
-    "eval_poly_at_tan_squared",
-    "eval_tan_squared",
-    "IntPolynomial",
-    "rational_roots",
-    "tan_poly",
-    "tan_squared_poly",
-    "tan_squared_poly_at",
-]
+# public name -> the submodule that defines it
+_EXPORTS = {
+    **dict.fromkeys([
+        "DoublingChain",
+        "PoleError",
+        "ReducedAngle",
+        "cos_base_value",
+        "double_angle_forward",
+        "doubling_chain",
+        "integer_double_angle_preimages",
+        "invert_double_angle",
+        "odd_part",
+        "reduce_for_cos",
+        "reduce_for_tan",
+        "tan_squared_base_value",
+    ], "angle"),
+    "Certificate": "certifier",
+    "CertificateFormatError": "kernel",
+    "VerificationResult": "kernel",
+    **dict.fromkeys([
+        "certificate_from_tree",
+        "certificate_to_tree",
+        "certify",
+        "exclude_candidate",
+        "from_json",
+        "to_json",
+        "verify_certificate",
+    ], "certifier"),
+    "verify_certificate_json": "kernel",
+    **dict.fromkeys([
+        "FUNCTIONS",
+        "IRRATIONAL",
+        "POLE",
+        "TrigVerdict",
+        "classify",
+        "classify_cos",
+        "classify_cos_squared",
+        "classify_tan",
+        "classify_tan_squared",
+    ], "classifier"),
+    **dict.fromkeys([
+        "binomial",
+        "divisors",
+        "integer_sqrt",
+        "make_rational",
+        "rational_sqrt",
+    ], "exact_core"),
+    **dict.fromkeys([
+        "RatInterval",
+        "crosscheck",
+        "eval_cos",
+        "eval_poly_at_tan_squared",
+        "eval_tan_squared",
+    ], "highprec"),
+    **dict.fromkeys([
+        "IntPolynomial",
+        "rational_roots",
+        "tan_poly",
+        "tan_squared_poly",
+        "tan_squared_poly_at",
+    ], "polynomial"),
+}
+
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str) -> object:
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(__all__)

@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 verification or cross-check failure or a certificate
 that cannot be written, 2 usage error.
 Scan output is deterministic (ascending denominator, then numerator) no
-matter how many worker processes are used.
+matter how many worker processes are used.  Each command imports what it
+uses, so `verify` loads only the kernel.
 """
 
 from __future__ import annotations
@@ -13,14 +14,9 @@ import json
 import re
 import sys
 from fractions import Fraction
+from math import gcd
 
-from .certifier import certify, to_json, verdict_to_tree
-from .certifier import verify_certificate, verify_certificate_json
-from .classifier import FUNCTIONS, TrigVerdict, classify
-from .exact_core import gcd
-from .highprec import MAX_BITS, MIN_BITS, crosscheck
-from .angle import _cos_fold, _tan_fold
-from .polynomial import tan_squared_poly
+from .kernel import FUNCTIONS, verify_certificate_json
 
 __all__ = ["run", "main"]
 
@@ -42,6 +38,8 @@ def _parse_angle(text: str) -> Fraction:
 
 
 def _human_angle(r: Fraction, function: str) -> str:
+    from .angle import _cos_fold, _tan_fold
+
     if function == "cos":
         d, n = _cos_fold(r)
         return f"{d}/{n}"
@@ -50,23 +48,23 @@ def _human_angle(r: Fraction, function: str) -> str:
     return f"{minus}{d}/{n}"
 
 
-def _verdict_text(v: TrigVerdict) -> str:
-    if v.kind == "exact":
-        return f"exact {v.value}"
-    return v.kind
-
-
 def _bits(text: str) -> int:
     """--bits, checked at parse time, before any work."""
+    from .highprec import MAX_BITS, MIN_BITS
+
     if re.fullmatch(r"[0-9]{1,5}", text) and MIN_BITS <= int(text) <= MAX_BITS:
         return int(text)
     raise argparse.ArgumentTypeError(f"expected an integer in [{MIN_BITS}, {MAX_BITS}]")
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
+    from .classifier import classify
+
     r = _parse_angle(args.angle)
     verdict = classify(r, args.function)
     if args.json:
+        from .certifier import verdict_to_tree
+
         tree = {
             "input": f"{r.numerator}/{r.denominator}",
             "function": args.function,
@@ -76,11 +74,14 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         print(json.dumps(tree, sort_keys=True))
     else:
         angle = _human_angle(r, args.function)
-        print(f"{args.function}({angle} pi): {_verdict_text(verdict)}")
+        text = f"exact {verdict.value}" if verdict.kind == "exact" else verdict.kind
+        print(f"{args.function}({angle} pi): {text}")
     return 0
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
+    from .certifier import certify, to_json, verify_certificate
+
     r = _parse_angle(args.angle)
     cert = certify(r, args.function)
     if args.verify:
@@ -98,15 +99,16 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    # bytes from both sources, so bad UTF-8 is a verification failure
     if args.file is None or args.file == "-":
-        text = sys.stdin.read()
+        data = getattr(sys.stdin, "buffer", sys.stdin).read()
     else:
         try:
-            with open(args.file, encoding="utf-8") as fh:
-                text = fh.read()
+            with open(args.file, "rb") as fh:
+                data = fh.read()
         except OSError as e:
             raise ValueError(f"cannot read {args.file}: {e}") from None
-    result = verify_certificate_json(text)
+    result = verify_certificate_json(data)
     if args.json:
         print(json.dumps({"ok": result.ok, "reason": result.reason}, sort_keys=True))
     elif result.ok:
@@ -119,6 +121,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_poly(args: argparse.Namespace) -> int:
     if args.n > POLY_MAX_N:
         raise ValueError(f"poly takes N up to {POLY_MAX_N}, got {args.n}")
+    from .polynomial import tan_squared_poly
+
     p = tan_squared_poly(args.n)
     print(str(list(p.coeffs)))
     return 0
@@ -131,6 +135,10 @@ def _numerators(n: int) -> list[int]:
 
 
 def _scan_denominator(task: tuple[int, bool, int]) -> tuple[dict, list[str]]:
+    from .certifier import certify, verify_certificate
+    from .classifier import classify
+    from .highprec import crosscheck
+
     n, check_numerics, bits = task
     counts = {f: {"pole": 0, "exact": 0, "irrational": 0} for f in FUNCTIONS}
     failures: list[str] = []

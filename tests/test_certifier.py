@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import _mutation
-from trig_rational import certifier, polynomial
+from trig_rational import certifier, kernel, polynomial
 from trig_rational.angle import reduce_for_cos, reduce_for_tan
 from trig_rational.certifier import (
     BackwardQuadraticStep,
@@ -111,11 +111,12 @@ def test_exclusion_fields_are_ints():
 def test_certifier_caches_are_bounded():
     cached = [
         f
-        for module in (certifier, polynomial)
+        for module in (certifier, kernel, polynomial)
         for f in vars(module).values()
         if hasattr(f, "cache_info")
     ]
     assert certifier._tan2_steps in cached and certifier._poly_value_at in cached
+    assert kernel._p_at in cached
     for f in cached:
         assert f.cache_info().maxsize is not None, f.__name__
 
@@ -430,11 +431,7 @@ def test_verify_recomputes_the_quadratic_square_test(monkeypatch):
     # so the same step would no longer prove anything
     cert = certify(Fraction(1, 8))
     assert verify_certificate(cert)
-    table = {4: Fraction(3)}
-    base = certifier.tan_squared_base_value
-    monkeypatch.setattr(
-        certifier, "tan_squared_base_value", lambda n: table.get(n) or base(n)
-    )
+    monkeypatch.setitem(kernel._TAN2, 4, (3, 1))  # the kernel's own base table
     assert verify_certificate(cert).reason == "verdict not entailed"
     assert verify_certificate(certify(Fraction(1, 12)))
 

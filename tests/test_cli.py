@@ -201,6 +201,25 @@ def test_verify_command_hostile_input(capsys, monkeypatch):
         assert capsys.readouterr().out.startswith("fail:")
 
 
+def test_verify_command_bad_utf8(tmp_path, capsys, monkeypatch):
+    # bytes that are not UTF-8 fail verification the same way from a file and
+    # from stdin: exit 1, not a usage error
+    data = b"\xff" + to_json(certify(Fraction(1, 15))).encode()
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    assert run(["verify", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("fail: invalid JSON: 'utf-8' codec can't decode byte 0xff")
+
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+    assert run(["verify"]) == 1
+    assert capsys.readouterr().out == out
+
+    res = subprocess.run(_module_cmd("verify"), input=data, capture_output=True)
+    assert res.returncode == 1
+    assert res.stdout.decode() == out
+
+
 def test_scan_command(capsys):
     assert run(["scan", "--max-den", "30"]) == 0
     out = capsys.readouterr().out
