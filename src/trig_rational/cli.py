@@ -13,7 +13,6 @@ import argparse
 import json
 import re
 import sys
-from fractions import Fraction
 from math import gcd
 
 from .kernel import FUNCTIONS, verify_certificate_json
@@ -28,6 +27,8 @@ POLY_MAX_N = 14291
 
 
 def _parse_angle(text: str) -> Fraction:
+    from fractions import Fraction
+
     if not _ANGLE_RE.match(text):
         raise ValueError(f"angle must look like d/n or d, got {text!r}")
     num, _, den = text.partition("/")
@@ -135,6 +136,8 @@ def _numerators(n: int) -> list[int]:
 
 
 def _scan_denominator(task: tuple[int, bool, int]) -> tuple[dict, list[str]]:
+    from fractions import Fraction
+
     from .certifier import certify, verify_certificate
     from .classifier import classify
     from .highprec import crosscheck

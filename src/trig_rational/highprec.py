@@ -9,18 +9,20 @@ returned interval is a guarantee, not an estimate.
     each arctangent series alternates with strictly decreasing terms, so the
     tail is bounded by the first omitted term.
   * The angle is reduced symbolically first (exact fraction of pi, folded so
-    the series argument stays in [0, pi/4]), then sin and cos come from
-    their alternating power series with the same first-omitted-term bound.
-  * tan^2 = sin^2 / cos^2 with outward-rounded interval division.
+    the series argument stays in [0, pi/4]), then cos comes from the
+    alternating series of cos or sin with the same first-omitted-term bound.
+  * tan^2 x = (1 - cos 2x)/(1 + cos 2x) with outward-rounded division.  For
+    odd n, 2x folds onto another angle of denominator n, so the four
+    functions of every d/n together need one cos series per folded angle.
 
 A published enclosure is an integer centre c on the grid G = 2^(bits+4): the
 interval [(c-8)/G, (c+8)/G], so the width is exactly 2^-bits (within the
 2^(1-bits) contract) and enclosures at higher bit counts nest inside those
 at lower ones by construction.  The public evaluators return it as a
 RatInterval; `crosscheck` never builds one and compares values p/q with it
-by cross-multiplying integers.  Bounded LRU caches hold the work: pi per
-scale, the tan^2 centre per (d, n, bits), and the raw cos enclosure per
-angle folded into [0, 1/2], negated and snapped per sign.
+by cross-multiplying integers.  Two bounded LRU caches hold the work: pi
+per scale, and the raw cos enclosure per angle folded into [0, 1/2] and
+bits, which cos negates and snaps per sign and tan^2 divides.
 """
 
 from __future__ import annotations
@@ -141,19 +143,15 @@ def _sin_cos_scaled(th_lo: int, th_hi: int, w: int, want_sin: bool) -> tuple[int
     """
     t2_lo = (th_lo * th_lo) >> w
     t2_hi = -((-(th_hi * th_hi)) >> w)
-    if want_sin:
-        term_lo, term_hi = th_lo, th_hi
-        d1, d2 = 2, 3
-    else:
-        one = 1 << w
-        term_lo = term_hi = one
-        d1, d2 = 1, 2
+    # sin starts at theta and divides by 2*3, 4*5, ...; cos at 1, by 1*2, 3*4, ...
+    term_lo, term_hi = (th_lo, th_hi) if want_sin else (1 << w, 1 << w)
     s_lo, s_hi = term_lo, term_hi
+    k = 2 if want_sin else 1
     negative = True
     while True:
-        term_lo = ((term_lo * t2_lo) >> w) // (d1 * d2)
+        term_lo = ((term_lo * t2_lo) >> w) // (k * (k + 1))
         term_hi = -((-(term_hi * t2_hi)) >> w)
-        term_hi = -((-term_hi) // (d1 * d2))
+        term_hi = -((-term_hi) // (k * (k + 1)))
         if negative:
             s_lo -= term_hi
             s_hi -= term_lo
@@ -163,36 +161,7 @@ def _sin_cos_scaled(th_lo: int, th_hi: int, w: int, want_sin: bool) -> tuple[int
         if term_hi <= 1:
             return s_lo - 1, s_hi + 1
         negative = not negative
-        d1 += 2
-        d2 += 2
-
-
-def _theta_scaled(num: int, den: int, w: int) -> tuple[int, int]:
-    """Enclosure of (num/den)*pi at scale 2^w for num >= 0, den > 0."""
-    pi_lo, pi_hi = _pi_scaled(w)
-    return (pi_lo * num) // den, _ceil_div(pi_hi * num, den)
-
-
-def _sinpi_scaled(d: int, n: int, w: int) -> tuple[int, int]:
-    # d/n in [0, 1/2]; fold at 1/4 so the series argument stays small
-    if 4 * d <= n:
-        return _sin_cos_scaled(*_theta_scaled(d, n, w), w, want_sin=True)
-    return _sin_cos_scaled(*_theta_scaled(n - 2 * d, 2 * n, w), w, want_sin=False)
-
-
-def _cospi_scaled(d: int, n: int, w: int) -> tuple[int, int]:
-    if 4 * d <= n:
-        return _sin_cos_scaled(*_theta_scaled(d, n, w), w, want_sin=False)
-    return _sin_cos_scaled(*_theta_scaled(n - 2 * d, 2 * n, w), w, want_sin=True)
-
-
-def _sqr_scaled(lo: int, hi: int, w: int) -> tuple[int, int]:
-    if lo >= 0:
-        return (lo * lo) >> w, -((-(hi * hi)) >> w)
-    if hi <= 0:
-        return (hi * hi) >> w, -((-(lo * lo)) >> w)
-    big = max(lo * lo, hi * hi)
-    return 0, -((-big) >> w)
+        k += 2
 
 
 def _centre(lo: int, hi: int, w: int, bits: int) -> int:
@@ -212,8 +181,9 @@ def _published(centre: int, bits: int) -> RatInterval:
 
 # ------------------------------------------------------------ public ------
 
-# Entries per cache.  A scan revisits an angle only within its own
-# denominator, so this holds every reuse for denominators up to about 2000.
+# Entries in the cos cache.  A scan revisits an angle within its own
+# denominator, which this holds up to about 2000; the tan^2 of an even n
+# reads cos at n/2, which it holds up to max-den 72 but not at 300.
 _CACHE_SIZE = 1024
 
 
@@ -237,21 +207,24 @@ def eval_tan_squared(angle: ReducedAngle | Fraction | int, bits: int) -> RatInte
     return _published(_tan2_centre(d, n, bits), bits)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def _tan2_centre(d: int, n: int, bits: int) -> int:
-    guard = 16 + 2 * n.bit_length()
+    # tan^2 x = (1 - c)/(1 + c) falls as c = cos 2x rises, so lo comes from
+    # c_hi and hi from c_lo.  Near the pole 1 + c is about 5/n^2, so each
+    # retry asks for about 4 bitlen(n) more bits.
+    d2, n2 = (2 * d, n) if n % 2 else (d, n // 2)
+    flip = 2 * d2 > n2
+    extra = 0
     while True:
-        w = bits + 4 + guard
-        s_lo, s_hi = _sinpi_scaled(d, n, w)
-        c_lo, c_hi = _cospi_scaled(d, n, w)
-        s2_lo, s2_hi = _sqr_scaled(s_lo, s_hi, w)
-        c2_lo, c2_hi = _sqr_scaled(c_lo, c_hi, w)
-        if c2_lo > 0:
-            lo = (s2_lo << w) // c2_hi
-            hi = _ceil_div(s2_hi << w, c2_lo)
+        c_lo, c_hi, w = _cos_raw(n2 - d2 if flip else d2, n2, bits + extra)
+        if flip:
+            c_lo, c_hi = -c_hi, -c_lo
+        one = 1 << w
+        if one + c_lo > 0:
+            lo = ((one - c_hi) << w) // (one + c_hi)
+            hi = _ceil_div((one - c_lo) << w, one + c_lo)
             if hi - lo <= 1 << (w - bits - 4):
                 return _centre(lo, hi, w, bits)
-        guard *= 2
+        extra = 2 * extra + 4 * n.bit_length()
 
 
 def eval_cos(angle: ReducedAngle | Fraction | int, bits: int) -> RatInterval:
@@ -273,10 +246,14 @@ def _cos_centre(d: int, n: int, bits: int) -> int:
 @lru_cache(maxsize=_CACHE_SIZE)
 def _cos_raw(d: int, n: int, bits: int) -> tuple[int, int, int]:
     """Raw enclosure (lo, hi, w) of cos(d/n * pi) * 2^w for d/n in [0, 1/2]."""
+    # past 1/4, cos(x pi) = sin((1/2 - x) pi) keeps the series argument small
+    num, den, want_sin = (d, n, False) if 4 * d <= n else (n - 2 * d, 2 * n, True)
     guard = 16
     while True:
         w = bits + 4 + guard
-        lo, hi = _cospi_scaled(d, n, w)
+        pi_lo, pi_hi = _pi_scaled(w)
+        th_lo, th_hi = (pi_lo * num) // den, _ceil_div(pi_hi * num, den)
+        lo, hi = _sin_cos_scaled(th_lo, th_hi, w, want_sin)
         if hi - lo <= 1 << (w - bits - 4):
             return lo, hi, w
         guard *= 2

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
 
@@ -64,13 +63,33 @@ class CertificateFormatError(ValueError):
     """Malformed certificate tree or JSON text."""
 
 
-@dataclass(frozen=True)
 class VerificationResult:
-    ok: bool
-    reason: str = ""
+    """Whether a certificate proves its verdict, and if not, the first reason.
+
+    Immutable; a plain class, so that checking imports no dataclasses.
+    """
+
+    __slots__ = ("_ok", "_reason")
+
+    def __init__(self, ok: bool, reason: str = "") -> None:
+        self._ok, self._reason = ok, reason
+
+    ok = property(lambda self: self._ok)
+    reason = property(lambda self: self._reason)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._ok, self._reason) == (other._ok, other._reason)
+
+    def __hash__(self) -> int:
+        return hash((self._ok, self._reason))
+
+    def __repr__(self) -> str:
+        return f"VerificationResult(ok={self._ok!r}, reason={self._reason!r})"
 
     def __bool__(self) -> bool:
-        return self.ok
+        return self._ok
 
 
 def verify_certificate_json(text: str | bytes) -> VerificationResult:

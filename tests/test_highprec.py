@@ -151,8 +151,9 @@ def test_eval_widths_and_floats():
 
 
 def test_enclosures_are_pinned():
-    # every endpoint for n <= 60, 0 <= d <= 2n, at 8, 64 and 128 bits; the
-    # Fraction-valued evaluators that kept no integer centre gave this digest
+    # every endpoint for n <= 60, 0 <= d <= 2n, at 8, 64 and 128 bits, with
+    # tan^2 taken from cos 2x; against tan^2 = sin^2/cos^2, 16 of the 10,980
+    # tan^2 centres here moved, each by one grid step, and no cos endpoint
     h = hashlib.sha256()
     for n in range(1, 61):
         for d in range(0, 2 * n + 1):
@@ -164,7 +165,7 @@ def test_enclosures_are_pinned():
                 for iv in ivs:
                     h.update(f"{iv.lo} {iv.hi}\n".encode())
     assert h.hexdigest() == (
-        "3195fdeaf53f06c188625115d490a3b61c776f876460e9d6ff3a7dc10984aaa9"
+        "24e54d6812a38ecfc615d8cbe64649ca11b704786121879f334b9484618bef1b"
     )
 
 
@@ -181,7 +182,7 @@ def test_cos_ties_round_after_negation():
 
 
 def test_enclosure_caches_are_bounded():
-    for cached in (highprec._tan2_centre, highprec._cos_raw, highprec._pi_scaled):
+    for cached in (highprec._cos_raw, highprec._pi_scaled):
         assert cached.cache_info().maxsize is not None
 
 
@@ -219,6 +220,45 @@ def test_cos_and_tan_squared_agree():
             lo1, hi1 = c.lo * c.lo, c.hi * c.hi
             lo2, hi2 = 1 / (1 + t.hi), 1 / (1 + t.lo)
             assert max(lo1, lo2) <= min(hi1, hi2)
+
+
+def test_enclosures_hold_against_an_independent_oracle():
+    # mpmath's interval arithmetic is the reference: its rigorous enclosure of
+    # the true value, taken as exact rationals, must lie inside ours
+    mpmath = pytest.importorskip("mpmath")
+    from mpmath.libmp import to_rational
+
+    iv = mpmath.iv
+    cases = [
+        (Fraction(d, n), bits)
+        for n in range(1, 61)
+        for d in range(n + 1)
+        if gcd(d, n) == 1
+        for bits in (8, 64, 128)
+    ]
+    # both sides of the pole, where 1 + cos 2x is about 5/n^2, and a few
+    # ordinary angles, at every precision up to MAX_BITS
+    for m in (3, 4, 5, 100, 2**10 + 1, 3**9, 2**21 - 1, 2**21):
+        for r in (Fraction(m - 1, 2 * m), Fraction(m + 1, 2 * m)):
+            cases += [(r, bits) for bits in (8, 64, 128, 1024, 4096)]
+    for r in (Fraction(1, 5), Fraction(2, 7), Fraction(7, 60), Fraction(1, 3)):
+        cases += [(r, bits) for bits in (1024, 4096)]
+    checks, prec = 0, iv.prec
+    try:
+        for r, bits in cases:
+            iv.prec = bits + 2 * r.denominator.bit_length() + 32
+            x = iv.pi * r.numerator / r.denominator
+            pairs = [(eval_cos(r, bits), iv.cos(x))]
+            if reduce_for_tan(r).n != 2:
+                pairs.append((eval_tan_squared(r, bits), iv.tan(x) ** 2))
+            for ours, true in pairs:
+                lo, hi = (Fraction(*to_rational(e)) for e in true._mpi_)
+                assert ours.lo <= lo and hi <= ours.hi, (r, bits)
+                assert ours.width <= Fraction(2, 1 << bits)
+                checks += 1
+    finally:
+        iv.prec = prec
+    assert checks == 6791
 
 
 def test_interval_eval_encloses_exact_values():

@@ -1,6 +1,7 @@
 """Tests for the verifier kernel: independence from the generator, lazy loading."""
 
 import ast
+import pickle
 import re
 import subprocess
 import sys
@@ -11,8 +12,10 @@ import pytest
 
 import trig_rational
 from trig_rational import certifier, classifier, kernel
+from trig_rational.angle import PoleError
 from trig_rational.certifier import certificate_to_tree, certify, to_json, verify_certificate
 from trig_rational.exact_core import divisors, gcd
+from trig_rational.highprec import eval_cos, eval_tan_squared
 from trig_rational.polynomial import tan_squared_poly_at
 
 # every module of the package that builds certificates, as opposed to checking them
@@ -73,6 +76,31 @@ def test_kernel_rejects_what_a_broken_generator_emits(monkeypatch):
         certifier._tan2_steps.cache_clear()  # drop the broken steps
 
 
+def test_verification_result_api():
+    VR = kernel.VerificationResult
+    good, bad = VR(True), VR(False, "odd part mismatch")
+    assert (good.ok, good.reason) == (True, "")
+    assert (bad.ok, bad.reason) == (False, "odd part mismatch")
+    assert VR(ok=False, reason="x") == VR(False, "x")
+    assert bool(good) is True and bool(bad) is False
+    assert repr(good) == "VerificationResult(ok=True, reason='')"
+    assert repr(bad) == "VerificationResult(ok=False, reason='odd part mismatch')"
+    # equal results are equal and hash alike; a result equals no other type
+    assert good == VR(True, "") and hash(good) == hash(VR(True, ""))
+    assert good != bad and good != VR(True, "x")
+    assert good != (True, "") and bad != (False, "odd part mismatch")
+    assert len({good, VR(True), bad}) == 2
+    with pytest.raises(TypeError):
+        good < bad
+    for name in ("ok", "reason", "other"):
+        with pytest.raises(AttributeError):
+            setattr(good, name, False)
+        with pytest.raises(AttributeError):
+            delattr(good, name)
+    assert (good.ok, good.reason) == (True, "")
+    assert pickle.loads(pickle.dumps(bad)) == bad
+
+
 def test_plain_forms_agree():
     # the kernel parses the wire tree to the same plain form that
     # verify_certificate builds from the dataclasses
@@ -93,6 +121,51 @@ def test_kernel_arithmetic_matches_the_library():
         assert list(kernel._divisors(q)) == divisors(q)
         for c in divisors(q):
             assert kernel._p_at(q, c) == tan_squared_poly_at(q, c)
+
+
+def test_base_table_matches_the_enclosures():
+    # fact 1 without the kernel: each table value lies in the certified
+    # tan^2 enclosure at every reduced angle of its denominator
+    for n, value in kernel._TAN2.items():
+        for d in range(-2 * n, 2 * n):
+            if gcd(d, n) != 1:
+                continue
+            if value is None:
+                with pytest.raises(PoleError):
+                    eval_tan_squared(Fraction(d, n), 64)
+                continue
+            for bits in (8, 64, 4096):
+                assert Fraction(*value) in eval_tan_squared(Fraction(d, n), bits)
+
+
+def _sign(iv) -> int:
+    return 1 if iv.lo > 0 else -1 if iv.hi < 0 else 0
+
+
+def test_sign_folds_match_the_enclosure_signs():
+    # fact 2 without the kernel: where tan or cos is exact, the kernel takes
+    # the value with the sign of a certified enclosure and refuses its
+    # negation, over several whole periods and negative numerators
+    checked = 0
+    for function, dens in (("tan", (1, 4)), ("cos", (1, 2, 3))):
+        for den in dens:
+            for num in range(-7 * den, 7 * den + 1):
+                if gcd(num, den) != 1:
+                    continue
+                r = Fraction(num, den)
+                if function == "tan":  # tan x and sin 2x = cos(2x - pi/2) share a sign
+                    sign = _sign(eval_cos(2 * r - Fraction(1, 2), 64))
+                else:
+                    sign = _sign(eval_cos(r, 64))
+                cert = kernel.parse(certificate_to_tree(certify(r, function)))
+                p, q = cert[3][1]
+                good = (sign * abs(p), q)
+                assert kernel.check(cert[:3] + (("exact", good),) + cert[4:]).ok, r
+                if p:
+                    bad = (-good[0], q)
+                    assert not kernel.check(cert[:3] + (("exact", bad),) + cert[4:]).ok
+                    checked += 1
+    assert checked == 28 + 15 + 28  # tan at d/4, cos at d/1 and at d/3
 
 
 def test_package_import_loads_no_submodule():
@@ -126,8 +199,13 @@ print(sorted(m for m in sys.modules if m.startswith("trig_rational.")))
 """
     assert _python("-c", code, stdin=text).stdout == "['trig_rational.kernel']\n"
 
-    # -X importtime lists every module the command imports
+    # -X importtime lists every module the command imports.  verify needs
+    # neither dataclasses (which pulls in inspect) nor fractions; what site's
+    # .pth files load, listed before site itself, is not the program's
     res = _python("-X", "importtime", "-m", "trig_rational", "verify", stdin=text)
     assert res.stdout == "pass\n"
-    loaded = set(re.findall(r"\| +trig_rational\.(\w+)$", res.stderr, re.M))
+    program = re.split(r"\| site$", res.stderr, flags=re.M)[-1]
+    modules = set(re.findall(r"\| +([\w.]+)$", program, re.M))
+    loaded = {m.partition(".")[2] for m in modules if m.startswith("trig_rational.")}
     assert "kernel" in loaded and not loaded & set(GENERATOR), loaded
+    assert not modules & {"dataclasses", "fractions"}, modules
