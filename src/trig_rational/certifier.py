@@ -37,6 +37,14 @@ function) anyway -- the chain's angles, the relations between the four
 functions, the quadratic's constants, the polynomial and its divisor list
 -- is not on the wire.  This module builds certificates, writes them, and
 maps them to and from the kernel's plain form.
+
+to_json writes by template: the envelope is formatted in sorted key order
+around each step's JSON text, which is rendered from the step's tree on the
+first write and kept on the step instance.  certify shares one step tuple
+per reduced denominator, so each is rendered once.  The output is
+byte-identical to json.dumps(certificate_to_tree(cert), sort_keys=True);
+with indent, to_json goes through the tree.  A step's text, once written,
+is reused even if the int-to-str digit limit is lowered afterwards.
 """
 
 from __future__ import annotations
@@ -87,13 +95,24 @@ __all__ = [
 # ------------------------------------------------------------- steps ------
 
 
+class _Step:
+    @cached_property
+    def _json(self) -> str:
+        """The step's wire text, rendered by to_json on first use and kept.
+
+        A render that raises (a number past the int-to-str digit limit) is
+        not kept, so the next to_json raises too.
+        """
+        return json.dumps(_STEP_TREE[type(self)](self), sort_keys=True)
+
+
 @dataclass(frozen=True)
-class BaseStep:
+class BaseStep(_Step):
     """The reduced denominator is in {1, 2, 3, 4, 6}: tan^2 is tabulated."""
 
 
 @dataclass(frozen=True)
-class ChainStep:
+class ChainStep(_Step):
     """The number of angle doublings from the input's reduction to the stop.
 
     The stop is the working denominator: the odd part q, or 8 or 12.
@@ -125,7 +144,7 @@ class Exclusion:
 
 
 @dataclass(frozen=True)
-class PolyStep:
+class PolyStep(_Step):
     """s := tan^2 at the doubled chain end is a root of tan_squared_poly(q).
 
     The positive divisors of q are the only possible rational roots, and each
@@ -144,7 +163,7 @@ class PolyStep:
 
 
 @dataclass(frozen=True)
-class BackwardQuadraticStep:
+class BackwardQuadraticStep(_Step):
     """The chain stops at den (8 or 12), whose doubled angle has a known tan^2.
 
     With that value D = u/v, a rational tan^2 at the chain end would be a
@@ -156,7 +175,7 @@ class BackwardQuadraticStep:
 
 
 @dataclass(frozen=True)
-class SqrtStep:
+class SqrtStep(_Step):
     """The certified function's square is rational, but has no rational root."""
 
 
@@ -176,6 +195,9 @@ class Certificate:
 
 
 # ---------------------------------------------------------- generation ----
+
+
+_SQRT = SqrtStep()  # one instance, so its wire text is rendered once
 
 
 def certify(r: Fraction | int, function: str = "tan2") -> Certificate:
@@ -199,7 +221,7 @@ def certify(r: Fraction | int, function: str = "tan2") -> Certificate:
         return Certificate(r, function, squared, steps)
     root = rational_sqrt(squared.value)
     if root is None:
-        return Certificate(r, function, IRRATIONAL, steps + (SqrtStep(),))
+        return Certificate(r, function, IRRATIONAL, steps + (_SQRT,))
     return Certificate(r, function, TrigVerdict.exact(sign * root), steps)
 
 
@@ -349,7 +371,20 @@ def certificate_from_tree(tree: object) -> Certificate:
 
 
 def to_json(cert: Certificate, indent: int | None = None) -> str:
-    return json.dumps(certificate_to_tree(cert), sort_keys=True, indent=indent)
+    """json.dumps(certificate_to_tree(cert), sort_keys=True, indent=indent).
+
+    Without indent the same bytes are written by template: the envelope in
+    sorted key order around each step's kept text (_Step._json).
+    """
+    if indent is not None:
+        return json.dumps(certificate_to_tree(cert), sort_keys=True, indent=indent)
+    v = cert.verdict
+    value = "" if v.value is None else f', "value": "{_rat(v.value)}"'
+    return (
+        f'{{"function": "{cert.function}", "input": "{_rat(cert.input)}", '
+        f'"steps": [{", ".join([s._json for s in cert.steps])}], '
+        f'"verdict": {{"kind": "{v.kind}"{value}}}, "version": {WIRE_VERSION}}}'
+    )
 
 
 def from_json(text: str | bytes) -> Certificate:

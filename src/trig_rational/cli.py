@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from math import gcd
@@ -170,10 +171,12 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     tasks = [(n, args.crosscheck, args.bits) for n in range(1, args.max_den + 1)]
     totals = {f: {"pole": 0, "exact": 0, "irrational": 0} for f in FUNCTIONS}
     failures: list[str] = []
-    if args.jobs > 1:
+    # more workers than denominators or CPUs would only idle
+    jobs = min(args.jobs, len(tasks), os.cpu_count() or 1)
+    if jobs > 1:
         from multiprocessing import Pool  # only scan --jobs pays for this import
 
-        with Pool(processes=args.jobs) as pool:
+        with Pool(processes=jobs) as pool:
             results = list(pool.imap(_scan_denominator, tasks, chunksize=8))
     else:
         results = [_scan_denominator(t) for t in tasks]

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import sys
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -27,12 +28,23 @@ from trig_rational.certifier import (
     exclude_candidate,
     from_json,
     to_json,
-    verify_certificate,
     verify_certificate_json,
 )
 from trig_rational.classifier import FUNCTIONS, IRRATIONAL, POLE, TrigVerdict, classify
 from trig_rational.exact_core import gcd
 from trig_rational.highprec import crosscheck
+
+
+def _tree_json(cert, indent=None):
+    return json.dumps(certificate_to_tree(cert), sort_keys=True, indent=indent)
+
+
+def verify_certificate(cert):
+    """certifier.verify_certificate, after checking that to_json's template
+    writes cert exactly as json.dumps writes its tree: every hand-built and
+    tampered certificate below goes through here."""
+    assert to_json(cert) == _tree_json(cert), cert
+    return certifier.verify_certificate(cert)
 
 
 # ------------------------------------------------------------ generation --
@@ -768,6 +780,84 @@ def test_wire_bytes_are_pinned():
     assert digest.hexdigest() == (
         "995df61827155e0ab1f7cf6b61f7b38a30306ed1697e664994d5de21c31643f6"
     )
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    num=st.integers(-10**12, 10**12),
+    q=st.integers(0, 1263).map(lambda i: 2 * i + 1),
+    k=st.integers(0, 64),
+    f=st.sampled_from(FUNCTIONS),
+)
+def test_template_matches_the_tree(num, q, k, f):
+    # to_json writes the envelope by template around each step's cached
+    # text; the bytes are those of json.dumps on the tree, written twice
+    cert = certify(Fraction(num, q << k), f)
+    text = _tree_json(cert)
+    assert to_json(cert) == text
+    assert to_json(cert) == text
+    assert to_json(cert, indent=2) == _tree_json(cert, indent=2)
+
+
+def test_template_matches_the_tree_on_odd_step_values():
+    # a cache keyed by equality would mix these up: ChainStep(True) ==
+    # ChainStep(1), but the tree prints "True"; Fraction(7) prints as "7"
+    cert = certify(Fraction(1, 10))
+    chain, poly = cert.steps
+    lying = replace(poly, exclusions=(replace(poly.exclusions[0], q_value=Fraction(7)),
+                                      *poly.exclusions[1:]))
+    assert chain == ChainStep(1) == ChainStep(True)
+    for steps in ((ChainStep(True), poly), (chain, poly), (chain, lying)):
+        c = replace(cert, steps=steps)
+        assert to_json(c) == _tree_json(c)
+        assert verify_certificate_json(to_json(c)).ok == (steps[0] is chain and steps[1] is poly)
+    assert '"doublings": "True"' in to_json(replace(cert, steps=(ChainStep(True), poly)))
+    for c in (replace(cert, input=7), replace(cert, steps=()),
+              replace(certify(Fraction(1, 3), "cos"), verdict=TrigVerdict.exact(-3))):
+        assert to_json(c) == _tree_json(c)
+
+
+def test_each_step_is_rendered_once(monkeypatch):
+    certifier._tan2_steps.cache_clear()
+    renders = []
+    dumps = json.dumps
+
+    def counting_dumps(obj, **kw):
+        renders.append(obj)
+        return dumps(obj, **kw)
+
+    monkeypatch.setattr(json, "dumps", counting_dumps)
+    certs = [certify(Fraction(d, n), f)
+             for n in (5, 6, 8, 12, 30, 45) for d in range(n) if gcd(d, n) == 1
+             for f in FUNCTIONS]
+    assert renders == []  # certify renders nothing
+    # the one SqrtStep instance may have been written before
+    unrendered = {id(s) for cert in certs for s in cert.steps if "_json" not in vars(s)}
+    assert len(unrendered) >= 11
+    for _ in range(2):
+        for cert in certs:
+            to_json(cert)
+    assert len(renders) == len(unrendered)
+
+
+def test_unwritable_step_is_not_cached():
+    # the three inputs with odd parts past 2,527 (2,531, 2,749 and 2,999)
+    # whose Q_values exceed the default int-to-str limit: certify succeeds,
+    # and every to_json raises, not only the first
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int-to-str digit limit")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        for r, f in ((Fraction(1, 2531), "tan2"), (Fraction(5, 10996), "cos"),
+                     (Fraction(-7, 5998) + 3, "tan")):
+            cert = certify(r, f)
+            for _ in range(2):
+                with pytest.raises(ValueError):
+                    to_json(cert)
+            assert "_json" not in vars(cert.steps[1])
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_version_1_certificates_are_rejected():

@@ -310,6 +310,48 @@ def test_scan_deterministic_across_jobs():
     assert "jobs" not in one.stdout
 
 
+def test_scan_jobs_are_bounded(capsys, monkeypatch):
+    # the pool gets min(J, denominators, CPUs) workers; one worker means none
+    import multiprocessing
+    import os
+
+    sizes = []
+
+    class PoolRecorder:
+        """Stands in for multiprocessing.Pool: records its size, starts nothing."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(multiprocessing, "Pool", PoolRecorder)
+    outputs = {}
+    for cpus, max_den, jobs, size in [
+        (2, 1, 100000, None),
+        (None, 12, 100000, None),
+        (2, 12, 100000, 2),
+        (2, 12, 2, 2),
+        (8, 5, 100000, 5),
+        (8, 12, 3, 3),
+        (8, 12, 1, None),
+    ]:
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert run(["scan", "--max-den", str(max_den), "--jobs", str(jobs)]) == 0
+        outputs.setdefault(max_den, set()).add(capsys.readouterr().out)
+        assert sizes == ([] if size is None else [size]), (cpus, max_den, jobs)
+        sizes.clear()
+    # the output does not depend on the pool
+    assert all(len(outs) == 1 for outs in outputs.values())
+
+
 def _readme_examples():
     """(command line, expected output) for each `$ trig-rational` example."""
     for block in re.findall(r"```sh\n(.*?)```", README, re.S):

@@ -9,6 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import trig_rational
 from trig_rational import certifier, classifier, kernel
@@ -166,6 +167,38 @@ def test_sign_folds_match_the_enclosure_signs():
                     assert not kernel.check(cert[:3] + (("exact", bad),) + cert[4:]).ok
                     checked += 1
     assert checked == 28 + 15 + 28  # tan at d/4, cos at d/1 and at d/3
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.fractions(max_denominator=10**6), st.fractions(max_denominator=10**6))
+def test_doubling_identity_in_exact_arithmetic(t, x):
+    # fact 3 without the kernel, in Fractions only
+    # tan 2x = 2t/(1 - t^2), so with T = t^2, tan^2 2x = 4T/(1 - T)^2
+    if t * t != 1:
+        T = t * t
+        assert (2 * t / (1 - t * t)) ** 2 == 4 * T / (1 - T) ** 2
+    # at the stops 8 and 12 the doubled angle is pi/4 and pi/6, where
+    # tan^2 = D = u/v is 1 and 1/3; for x != 1, 4x/(1 - x)^2 = u/v exactly
+    # when x is a root of u x^2 - 2(u + 2v) x + u, since
+    # v (1 - x)^2 (4x/(1 - x)^2 - u/v) = -(u x^2 - 2(u + 2v) x + u)
+    if x != 1:
+        for u, v in ((1, 1), (1, 3)):
+            quadratic = u * x * x - 2 * (u + 2 * v) * x + u
+            doubled = 4 * x / (1 - x) ** 2
+            assert v * (1 - x) ** 2 * (doubled - Fraction(u, v)) == -quadratic
+            assert (quadratic == 0) == (doubled == Fraction(u, v))
+
+
+def test_doubling_halves_an_even_reduced_denominator():
+    # fact 3: doubling d/n with n even and gcd(d, n) = 1 (so d is odd) lands on
+    # reduced denominator n/2, so the chain from n = 2^a q reaches q, 8 or 12
+    for n in range(2, 500, 2):
+        for d in range(-n, n):
+            if gcd(d, n) == 1:
+                assert d % 2 == 1
+                assert Fraction(2 * d, n).denominator == n // 2
+    # and the stops' doubled angles are the base denominators 4 and 6
+    assert [Fraction(2, n).denominator for n in (8, 12)] == [4, 6]
 
 
 def test_package_import_loads_no_submodule():
