@@ -9,10 +9,9 @@ map is solving a quadratic whose discriminant decides rationality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_core import as_fraction, gcd, rational_sqrt
+from .exact_core import FrozenRecord, _store, as_fraction, gcd, rational_sqrt
 
 __all__ = [
     "PoleError",
@@ -34,34 +33,40 @@ class PoleError(ValueError):
     """Raised where tan (or the double-angle map) hits its pole."""
 
 
-@dataclass(frozen=True)
-class ReducedAngle:
+class ReducedAngle(FrozenRecord):
     """Canonical angle representative d/n (lowest terms) with an orientation sign.
 
     The sign only matters for odd functions of the angle (tan); it is +1
     everywhere else.
     """
 
+    __match_args__ = ("d", "n", "sign")
     d: int
     n: int
-    sign: int = 1
+    sign: int
 
-    def __post_init__(self) -> None:
-        if self.n < 1 or self.d < 0 or gcd(self.d, self.n) != 1:
-            raise ValueError(f"not a reduced angle: {self.d}/{self.n}")
-        if self.sign not in (1, -1):
+    def __init__(self, d: int, n: int, sign: int = 1) -> None:
+        if n < 1 or d < 0 or gcd(d, n) != 1:
+            raise ValueError(f"not a reduced angle: {d}/{n}")
+        if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
+        _store(self, "d", d)
+        _store(self, "n", n)
+        _store(self, "sign", sign)
 
     @property
     def fraction(self) -> Fraction:
         return Fraction(self.d, self.n)
 
 
-@dataclass(frozen=True)
-class DoublingChain:
+class DoublingChain(FrozenRecord):
     """Successive angle doublings, each folded back into [0, 1/2]."""
 
+    __match_args__ = ("angles",)
     angles: tuple[ReducedAngle, ...]
+
+    def __init__(self, angles: tuple[ReducedAngle, ...]) -> None:
+        _store(self, "angles", angles)
 
 
 def reduce_for_tan(r: Fraction | int) -> ReducedAngle:

@@ -50,13 +50,12 @@ is reused even if the int-to-str digit limit is lowered afterwards.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .angle import _cos_fold, _tan_fold, odd_part
 from .classifier import _COS2_VERDICTS, _TAN2_VERDICTS, FUNCTIONS, IRRATIONAL, TrigVerdict
-from .exact_core import as_fraction, divisors, gcd, rational_sqrt
+from .exact_core import FrozenRecord, _store, as_fraction, divisors, gcd, rational_sqrt
 from .kernel import (
     WIRE_VERSION,
     CertificateFormatError,
@@ -95,7 +94,7 @@ __all__ = [
 # ------------------------------------------------------------- steps ------
 
 
-class _Step:
+class _Step(FrozenRecord):
     @cached_property
     def _json(self) -> str:
         """The step's wire text, rendered by to_json on first use and kept.
@@ -106,23 +105,24 @@ class _Step:
         return json.dumps(_STEP_TREE[type(self)](self), sort_keys=True)
 
 
-@dataclass(frozen=True)
 class BaseStep(_Step):
     """The reduced denominator is in {1, 2, 3, 4, 6}: tan^2 is tabulated."""
 
 
-@dataclass(frozen=True)
 class ChainStep(_Step):
     """The number of angle doublings from the input's reduction to the stop.
 
     The stop is the working denominator: the odd part q, or 8 or 12.
     """
 
+    __match_args__ = ("doublings",)
     doublings: int
 
+    def __init__(self, doublings: int) -> None:
+        _store(self, "doublings", doublings)
 
-@dataclass(frozen=True)
-class Exclusion:
+
+class Exclusion(FrozenRecord):
     """Why one divisor candidate cannot equal s.
 
     candidate and q_value are Python ints: the candidate is a positive divisor
@@ -132,18 +132,21 @@ class Exclusion:
     another denominator, so it is a different root than s.
     """
 
+    __match_args__ = ("candidate", "method", "q_value")
     candidate: int
     method: str  # "nonroot" | "angle"
-    q_value: int | None = None
+    q_value: int | None
 
-    def __post_init__(self) -> None:
-        if self.method not in ("nonroot", "angle"):
-            raise ValueError(f"unknown exclusion method {self.method!r}")
-        if (self.q_value is None) != (self.method == "angle"):
-            raise ValueError(f"wrong fields for a {self.method} exclusion")
+    def __init__(self, candidate: int, method: str, q_value: int | None = None) -> None:
+        if method not in ("nonroot", "angle"):
+            raise ValueError(f"unknown exclusion method {method!r}")
+        if (q_value is None) != (method == "angle"):
+            raise ValueError(f"wrong fields for a {method} exclusion")
+        _store(self, "candidate", candidate)
+        _store(self, "method", method)
+        _store(self, "q_value", q_value)
 
 
-@dataclass(frozen=True)
 class PolyStep(_Step):
     """s := tan^2 at the doubled chain end is a root of tan_squared_poly(q).
 
@@ -151,8 +154,13 @@ class PolyStep(_Step):
     one, in ascending order, carries an exclusion.
     """
 
+    __match_args__ = ("q", "exclusions")
     q: int
     exclusions: tuple[Exclusion, ...]
+
+    def __init__(self, q: int, exclusions: tuple[Exclusion, ...]) -> None:
+        _store(self, "q", q)
+        _store(self, "exclusions", exclusions)
 
     @cached_property
     def _plain(self) -> tuple:
@@ -162,7 +170,6 @@ class PolyStep(_Step):
             for e in self.exclusions])
 
 
-@dataclass(frozen=True)
 class BackwardQuadraticStep(_Step):
     """The chain stops at den (8 or 12), whose doubled angle has a known tan^2.
 
@@ -171,10 +178,13 @@ class BackwardQuadraticStep(_Step):
     not a perfect square.
     """
 
+    __match_args__ = ("den",)
     den: int
 
+    def __init__(self, den: int) -> None:
+        _store(self, "den", den)
 
-@dataclass(frozen=True)
+
 class SqrtStep(_Step):
     """The certified function's square is rational, but has no rational root."""
 
@@ -182,16 +192,24 @@ class SqrtStep(_Step):
 CertStep = BaseStep | ChainStep | PolyStep | BackwardQuadraticStep | SqrtStep
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(FrozenRecord):
+    """The verdict on function(input * pi) and the steps that prove it."""
+
+    __match_args__ = ("input", "function", "verdict", "steps")
     input: Fraction
     function: str
     verdict: TrigVerdict
     steps: tuple[CertStep, ...]
 
-    def __post_init__(self) -> None:
-        if self.function not in FUNCTIONS:
-            raise ValueError(f"unknown function {self.function!r}")
+    def __init__(
+        self, input: Fraction, function: str, verdict: TrigVerdict, steps: tuple[CertStep, ...]
+    ) -> None:
+        if function not in FUNCTIONS:
+            raise ValueError(f"unknown function {function!r}")
+        _store(self, "input", input)
+        _store(self, "function", function)
+        _store(self, "verdict", verdict)
+        _store(self, "steps", steps)
 
 
 # ---------------------------------------------------------- generation ----
@@ -307,7 +325,7 @@ _PLAIN_STEP = {
     BackwardQuadraticStep: lambda s: ("backward_quadratic", s.den),
     SqrtStep: lambda s: ("sqrt_step",),
 }
-_STEP_OF = {  # plain step -> dataclass
+_STEP_OF = {  # plain step -> step record
     "base": BaseStep,
     "chain": ChainStep,
     "poly": lambda q, exclusions: PolyStep(

@@ -9,7 +9,6 @@ tan takes {0, -1, 1}, cos takes {0, +-1, +-1/2} and cos^2 takes
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .angle import (
@@ -19,7 +18,7 @@ from .angle import (
     cos_base_value,
     tan_squared_base_value,
 )
-from .exact_core import as_fraction
+from .exact_core import FrozenRecord, _store, as_fraction
 
 __all__ = [
     "TrigVerdict",
@@ -36,18 +35,20 @@ __all__ = [
 FUNCTIONS = ("tan2", "tan", "cos2", "cos")
 
 
-@dataclass(frozen=True)
-class TrigVerdict:
+class TrigVerdict(FrozenRecord):
     """Pole, Exact(value), or Irrational."""
 
+    __match_args__ = ("kind", "value")
     kind: str  # "pole" | "exact" | "irrational"
-    value: Fraction | None = None
+    value: Fraction | None
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("pole", "exact", "irrational"):
-            raise ValueError(f"bad verdict kind {self.kind!r}")
-        if (self.value is not None) != (self.kind == "exact"):
+    def __init__(self, kind: str, value: Fraction | None = None) -> None:
+        if kind not in ("pole", "exact", "irrational"):
+            raise ValueError(f"bad verdict kind {kind!r}")
+        if (value is not None) != (kind == "exact"):
             raise ValueError("value present iff kind is exact")
+        _store(self, "kind", kind)
+        _store(self, "value", value)
 
     @classmethod
     def exact(cls, value: Fraction | int) -> "TrigVerdict":

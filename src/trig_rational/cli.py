@@ -14,6 +14,7 @@ import json
 import os
 import re
 import sys
+from collections.abc import Iterable
 from math import gcd
 
 from .kernel import FUNCTIONS, verify_certificate_json
@@ -141,9 +142,10 @@ def _scan_denominator(task: tuple[int, bool, int]) -> tuple[dict, list[str]]:
 
     from .certifier import certify, verify_certificate
     from .classifier import classify
-    from .highprec import crosscheck
 
     n, check_numerics, bits = task
+    if check_numerics:
+        from .highprec import crosscheck
     counts = {f: {"pole": 0, "exact": 0, "irrational": 0} for f in FUNCTIONS}
     failures: list[str] = []
     for d in _numerators(n):
@@ -163,28 +165,36 @@ def _scan_denominator(task: tuple[int, bool, int]) -> tuple[dict, list[str]]:
     return counts, failures
 
 
-def _cmd_scan(args: argparse.Namespace) -> int:
-    if args.max_den < 1:
-        raise ValueError("--max-den must be at least 1")
-    if args.jobs < 1:
-        raise ValueError("--jobs must be at least 1")
-    tasks = [(n, args.crosscheck, args.bits) for n in range(1, args.max_den + 1)]
-    totals = {f: {"pole": 0, "exact": 0, "irrational": 0} for f in FUNCTIONS}
-    failures: list[str] = []
-    # more workers than denominators or CPUs would only idle
-    jobs = min(args.jobs, len(tasks), os.cpu_count() or 1)
-    if jobs > 1:
-        from multiprocessing import Pool  # only scan --jobs pays for this import
-
-        with Pool(processes=jobs) as pool:
-            results = list(pool.imap(_scan_denominator, tasks, chunksize=8))
-    else:
-        results = [_scan_denominator(t) for t in tasks]
+def _add_scan_results(
+    results: Iterable[tuple[dict, list[str]]], totals: dict, failures: list[str]
+) -> None:
+    """Add each denominator's counts to totals as it arrives, in order."""
     for counts, fails in results:
         for f in FUNCTIONS:
             for kind, c in counts[f].items():
                 totals[f][kind] += c
         failures.extend(fails)
+
+
+def _cmd_scan(args: argparse.Namespace) -> int:
+    if args.max_den < 1:
+        raise ValueError("--max-den must be at least 1")
+    if args.jobs < 1:
+        raise ValueError("--jobs must be at least 1")
+    # a generator, not a list: a list of every task would grow with
+    # --max-den before any work is done
+    tasks = ((n, args.crosscheck, args.bits) for n in range(1, args.max_den + 1))
+    totals = {f: {"pole": 0, "exact": 0, "irrational": 0} for f in FUNCTIONS}
+    failures: list[str] = []
+    # more workers than denominators or CPUs would only idle
+    jobs = min(args.jobs, args.max_den, os.cpu_count() or 1)
+    if jobs > 1:
+        from multiprocessing import Pool  # only scan --jobs pays for this import
+
+        with Pool(processes=jobs) as pool:
+            _add_scan_results(pool.imap(_scan_denominator, tasks, chunksize=8), totals, failures)
+    else:
+        _add_scan_results(map(_scan_denominator, tasks), totals, failures)
     angles = sum(totals[FUNCTIONS[0]].values())
     for line in failures:
         print(line)

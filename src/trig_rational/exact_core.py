@@ -5,7 +5,8 @@ Integers are plain Python ``int`` (arbitrary precision).  Rationals are
 positive denominator on construction, so structural equality is semantic
 equality.  The stdlib supplies gcd, floor square root and binomial
 coefficients; the divisor enumeration and the exact rational square root
-are written here.
+are written here, and so is FrozenRecord, the base of the package's
+immutable value types.
 """
 
 from __future__ import annotations
@@ -75,3 +76,64 @@ def binomial(n: int, k: int) -> int:
     if n < 0 or k < 0 or k > n:
         raise ValueError(f"binomial({n}, {k}) out of range")
     return _comb(n, k)
+
+
+# A record's __init__ stores its fields with this, past FrozenRecord.__setattr__;
+# a module global is looked up faster than object.__setattr__.
+_store = object.__setattr__
+
+
+class _FieldsKey:
+    """FrozenRecord._key: the tuple of a record's fields, built on first use.
+
+    It is then kept as an instance attribute, which hides this descriptor,
+    so that construction pays nothing for it and each later == or hash
+    reads one attribute.
+    """
+
+    def __get__(self, record: FrozenRecord, owner: type | None = None) -> tuple:
+        key = tuple([getattr(record, name) for name in record.__match_args__])
+        _store(record, "_key", key)
+        return key
+
+
+class FrozenRecord:
+    """Base of the package's immutable value types.
+
+    A subclass names its fields, in order, in __match_args__ and writes its
+    own __init__, which validates and then stores each field with _store
+    (object.__setattr__).  Writing the instance __dict__ directly would make
+    every later attribute read slower.  Assignment and deletion raise
+    AttributeError.  The base gives equality and hash over the fields, with
+    records of different types never equal; the repr Name(field=value, ...);
+    and __replace__ (copy.replace), which builds a new record through
+    __init__ and so validates again.  Pickling restores the attributes as
+    they were, without __init__.
+    """
+
+    __match_args__: tuple[str, ...] = ()
+    _key = _FieldsKey()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __replace__(self, **changes: object) -> FrozenRecord:
+        """A copy with some fields changed, validated again (copy.replace)."""
+        for name in self.__match_args__:
+            changes.setdefault(name, getattr(self, name))
+        return self.__class__(**changes)

@@ -27,13 +27,12 @@ bits, which cos negates and snaps per sign and tan^2 divides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .angle import PoleError, ReducedAngle, _cos_fold, _tan_fold
 from .classifier import TrigVerdict
-from .exact_core import as_fraction
+from .exact_core import FrozenRecord, _store, as_fraction
 from .polynomial import IntPolynomial
 
 __all__ = [
@@ -51,20 +50,22 @@ MIN_BITS = 8
 MAX_BITS = 4096
 
 
-@dataclass(frozen=True)
-class RatInterval:
+class RatInterval(FrozenRecord):
     """Closed interval with exact rational endpoints.
 
     Membership tests cross-multiply integers; the value may be an int, a
     Fraction or a finite float, and is compared exactly.
     """
 
+    __match_args__ = ("lo", "hi")
     lo: Fraction
     hi: Fraction
 
-    def __post_init__(self) -> None:
-        if self.lo > self.hi:
+    def __init__(self, lo: Fraction, hi: Fraction) -> None:
+        if lo > hi:
             raise ValueError("empty interval")
+        _store(self, "lo", lo)
+        _store(self, "hi", hi)
 
     @property
     def width(self) -> Fraction:

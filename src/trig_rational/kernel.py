@@ -66,7 +66,7 @@ class CertificateFormatError(ValueError):
 class VerificationResult:
     """Whether a certificate proves its verdict, and if not, the first reason.
 
-    Immutable; a plain class, so that checking imports no dataclasses.
+    Immutable.  Written out here, since the kernel imports no package module.
     """
 
     __slots__ = ("_ok", "_reason")

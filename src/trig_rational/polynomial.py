@@ -15,10 +15,9 @@ which ``tan_squared_poly_at`` computes by repeated squaring on integer pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_core import divisors, gcd
+from .exact_core import FrozenRecord, _store, divisors, gcd
 
 __all__ = [
     "IntPolynomial",
@@ -29,17 +28,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
+class IntPolynomial(FrozenRecord):
     """Polynomial with int coefficients, ascending degree; () is the zero polynomial."""
 
+    __match_args__ = ("coeffs",)
     coeffs: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        cs = tuple(int(c) for c in self.coeffs)
+    def __init__(self, coeffs: tuple[int, ...]) -> None:
+        cs = tuple(int(c) for c in coeffs)
         while cs and cs[-1] == 0:
             cs = cs[:-1]
-        object.__setattr__(self, "coeffs", cs)
+        _store(self, "coeffs", cs)
 
     @property
     def degree(self) -> int:

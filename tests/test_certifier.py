@@ -5,7 +5,6 @@ import json
 import random
 import sys
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -33,6 +32,10 @@ from trig_rational.certifier import (
 from trig_rational.classifier import FUNCTIONS, IRRATIONAL, POLE, TrigVerdict, classify
 from trig_rational.exact_core import gcd
 from trig_rational.highprec import crosscheck
+
+
+def replace(record, **changes):
+    return record.__replace__(**changes)
 
 
 def _tree_json(cert, indent=None):

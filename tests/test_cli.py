@@ -294,6 +294,32 @@ def test_certify_verify_pipe_subprocess():
         assert res.stdout == "pass\n"
 
 
+def _program_imports(*args):
+    """Modules a CLI command imports, from -X importtime, after site.
+
+    What site's .pth files load is listed before site itself and is not the
+    program's.
+    """
+    res = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "trig_rational", *args],
+        capture_output=True, text=True, check=True,
+    )
+    program = re.split(r"\| site$", res.stderr, flags=re.M)[-1]
+    return set(re.findall(r"\| +([\w.]+)$", program, re.M))
+
+
+def test_generator_commands_start_without_dataclasses():
+    # the value types are plain classes: neither dataclasses nor the inspect
+    # module it pulls in is loaded, and scan loads highprec only to cross-check
+    certify = _program_imports("certify", "1/15")
+    scan = _program_imports("scan", "--max-den", "3")
+    assert "trig_rational.certifier" in certify and "trig_rational.certifier" in scan
+    for modules in (certify, scan):
+        assert not modules & {"dataclasses", "inspect"}, modules
+    assert "trig_rational.highprec" not in scan, scan
+    assert "trig_rational.highprec" in _program_imports("scan", "--max-den", "3", "--crosscheck")
+
+
 def test_scan_deterministic_across_jobs():
     one = subprocess.run(
         _module_cmd("scan", "--max-den", "40", "--jobs", "1"),
@@ -350,6 +376,37 @@ def test_scan_jobs_are_bounded(capsys, monkeypatch):
         sizes.clear()
     # the output does not depend on the pool
     assert all(len(outs) == 1 for outs in outputs.values())
+
+
+def test_scan_makes_tasks_as_it_goes(monkeypatch):
+    # the denominators are fed lazily: stopping after 3 of 10^6 must not
+    # have built a task list first (about 105 MB at that size)
+    import tracemalloc
+
+    from trig_rational import cli
+
+    class Stop(Exception):
+        pass
+
+    calls = []
+    scan = cli._scan_denominator
+
+    def scan_denominator(task):
+        calls.append(task)
+        if len(calls) > 3:
+            raise Stop
+        return scan(task)
+
+    monkeypatch.setattr(cli, "_scan_denominator", scan_denominator)
+    tracemalloc.start()
+    try:
+        with pytest.raises(Stop):
+            run(["scan", "--max-den", "1000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [n for n, _, _ in calls] == [1, 2, 3, 4]
+    assert peak < 5_000_000, peak
 
 
 def _readme_examples():

@@ -142,3 +142,137 @@ def test_binomial_pascal_triangle():
         row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
         for k, expect in enumerate(row):
             assert binomial(n, k) == expect
+
+
+# ------------------------------------------------- the value types --------
+
+
+def _replace(obj, **changes):
+    return obj.__replace__(**changes)
+
+
+def _records():
+    """(type, full positional args, required count, repr, other, bad changes)."""
+    from trig_rational.angle import DoublingChain, ReducedAngle
+    from trig_rational.certifier import (
+        BackwardQuadraticStep, BaseStep, Certificate, ChainStep, Exclusion, PolyStep, SqrtStep)
+    from trig_rational.classifier import TrigVerdict
+    from trig_rational.highprec import RatInterval
+    from trig_rational.polynomial import IntPolynomial
+
+    angle = ReducedAngle(1, 8)
+    angle_repr = "ReducedAngle(d=1, n=8, sign=1)"
+    nonroot = Exclusion(1, "nonroot", 5)
+    nonroot_repr = "Exclusion(candidate=1, method='nonroot', q_value=5)"
+    poly = PolyStep(5, (nonroot, Exclusion(5, "nonroot", -25)))
+    return [
+        (ReducedAngle, (1, 5, 1), 2, "ReducedAngle(d=1, n=5, sign=1)", {"sign": -1}, [
+            ({"n": 10, "d": 2}, "not a reduced angle: 2/10"),
+            ({"n": 0}, "not a reduced angle: 1/0"),
+            ({"d": -1}, "not a reduced angle: -1/5"),
+            ({"sign": 0}, "sign must be +1 or -1"),
+        ]),
+        (DoublingChain, ((angle, ReducedAngle(1, 4)),), 1,
+         f"DoublingChain(angles=({angle_repr}, ReducedAngle(d=1, n=4, sign=1)))",
+         {"angles": (angle,)}, []),
+        (TrigVerdict, ("irrational", None), 1, "TrigVerdict(kind='irrational', value=None)",
+         {"kind": "exact", "value": Fraction(1, 3)}, [
+            ({"kind": "rational"}, "bad verdict kind 'rational'"),
+            ({"value": Fraction(1)}, "value present iff kind is exact"),
+            ({"kind": "exact"}, "value present iff kind is exact"),
+        ]),
+        (IntPolynomial, ((-5, 10, -1),), 1, "IntPolynomial(coeffs=(-5, 10, -1))",
+         {"coeffs": (1,)}, [({"coeffs": ("x",)}, "invalid literal for int()")]),
+        (RatInterval, (Fraction(0), Fraction(1, 2)), 2,
+         "RatInterval(lo=Fraction(0, 1), hi=Fraction(1, 2))", {"hi": Fraction(1)}, [
+            ({"lo": Fraction(1)}, "empty interval"),
+        ]),
+        (BaseStep, (), 0, "BaseStep()", None, []),
+        (ChainStep, (8,), 1, "ChainStep(doublings=8)", {"doublings": 0}, []),
+        (Exclusion, (3, "angle", None), 2,
+         "Exclusion(candidate=3, method='angle', q_value=None)", {"candidate": 1}, [
+            ({"method": "exact"}, "unknown exclusion method 'exact'"),
+            ({"q_value": 0}, "wrong fields for a angle exclusion"),
+            ({"method": "nonroot"}, "wrong fields for a nonroot exclusion"),
+        ]),
+        (PolyStep, (5, poly.exclusions), 2,
+         f"PolyStep(q=5, exclusions=({nonroot_repr}, "
+         "Exclusion(candidate=5, method='nonroot', q_value=-25)))",
+         {"exclusions": (nonroot,)}, []),
+        (BackwardQuadraticStep, (8,), 1, "BackwardQuadraticStep(den=8)", {"den": 12}, []),
+        (SqrtStep, (), 0, "SqrtStep()", None, []),
+        (Certificate, (Fraction(1, 5), "cos", TrigVerdict("irrational"), (ChainStep(0), poly)), 4,
+         "Certificate(input=Fraction(1, 5), function='cos', "
+         "verdict=TrigVerdict(kind='irrational', value=None), "
+         f"steps=(ChainStep(doublings=0), {repr(poly)}))",
+         {"function": "tan"}, [({"function": "sin"}, "unknown function 'sin'")]),
+    ]
+
+
+def _positional(rec, cls, n):
+    """The positional sub-patterns of a class pattern with n of them."""
+    match rec:
+        case cls() if n == 0:
+            return ()
+        case cls(a) if n == 1:
+            return (a,)
+        case cls(a, b) if n == 2:
+            return a, b
+        case cls(a, b, c) if n == 3:
+            return a, b, c
+        case cls(a, b, c, d) if n == 4:
+            return a, b, c, d
+    return None
+
+
+@pytest.mark.parametrize("index", range(12))
+def test_record_types_api(index):
+    import pickle
+    import re
+
+    records = _records()
+    cls, args, required, text, other, bad = records[index]
+    rec = cls(*args)
+    fields = cls.__match_args__
+    assert len(fields) == len(args)
+    # positional, keyword and default construction
+    assert tuple(getattr(rec, name) for name in fields) == args
+    assert cls(**dict(zip(fields, args))) == rec
+    assert cls(*args[:required]) == rec
+    # equal records are equal and hash alike; a record equals no other type
+    same = cls(*args)
+    assert same is not rec and same == rec and hash(same) == hash(rec)
+    assert not rec != same
+    assert rec != args and len({rec, same}) == 1
+    with pytest.raises(TypeError):
+        rec < same
+    for other_cls, other_args, *_ in records:
+        if other_cls is not cls:
+            assert rec != other_cls(*other_args)
+    if other is not None:
+        changed = _replace(rec, **other)
+        assert changed != rec and type(changed) is cls
+        assert {name: getattr(changed, name) for name in other} == other
+        assert all(getattr(changed, name) == getattr(rec, name)
+                   for name in fields if name not in other)
+    assert repr(rec) == text
+    # frozen: no field or new attribute can be set or deleted
+    for name in (*fields, "other"):
+        with pytest.raises(AttributeError):
+            setattr(rec, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(rec, name)
+    assert tuple(getattr(rec, name) for name in fields) == args
+    copy = pickle.loads(pickle.dumps(rec))
+    assert copy == rec and type(copy) is cls and repr(copy) == text
+    assert _positional(rec, cls, len(fields)) == args
+    # __replace__ builds a new record and re-runs its validation
+    assert _replace(rec) == rec and _replace(rec) is not rec
+    for changes, message in bad:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cls(**{**dict(zip(fields, args)), **changes})
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _replace(rec, **changes)
+    with pytest.raises(TypeError):
+        _replace(rec, no_such_field=1)
+

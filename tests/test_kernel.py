@@ -104,7 +104,7 @@ def test_verification_result_api():
 
 def test_plain_forms_agree():
     # the kernel parses the wire tree to the same plain form that
-    # verify_certificate builds from the dataclasses
+    # verify_certificate builds from the certificate records
     for n in range(1, 61):
         for d in range(n):
             if gcd(d, n) != 1:
@@ -199,6 +199,21 @@ def test_doubling_halves_an_even_reduced_denominator():
                 assert Fraction(2 * d, n).denominator == n // 2
     # and the stops' doubled angles are the base denominators 4 and 6
     assert [Fraction(2, n).denominator for n in (8, 12)] == [4, 6]
+
+
+def test_doubling_keeps_integers_only_at_0_and_3():
+    # the fact a poly lemma with no candidates rests on, by integer
+    # divisibility only: T(c) = 4c/(c - 1)^2 and T(T(c)) are both integers,
+    # for an integer 0 <= c < 10^5 with c != 1, only at c = 0 and c = 3
+    # (T(2) = 8, but T(8) = 32/49)
+    both = []
+    for c in range(10**5):
+        if c == 1 or 4 * c % (c - 1) ** 2:
+            continue
+        t = 4 * c // (c - 1) ** 2
+        if t != 1 and 4 * t % (t - 1) ** 2 == 0:
+            both.append(c)
+    assert both == [0, 3]
 
 
 def test_package_import_loads_no_submodule():
