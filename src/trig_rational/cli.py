@@ -1,20 +1,24 @@
 """Command-line front end: classify, certify, verify, scan, poly.
 
-Exit codes: 0 success, 1 verification or cross-check failure or a certificate
-that cannot be written, 2 usage error.
-Scan output is deterministic (ascending denominator, then numerator) no
-matter how many worker processes are used.  Each command imports what it
-uses, so `verify` loads only the kernel.
+Exit codes: 0 success, 1 verification or cross-check failure, a scan worker
+that exited without its result, or a certificate that cannot be written,
+2 usage error.
+`scan --jobs J` splits the odd parts q into J stripes, each taking q, 2q, 4q,
+... in turn; the scan process loads the package once, forks J - 1 children
+that inherit it, runs one stripe itself and reads the others' results from
+pipes (one process where os.fork is missing).  Its output is deterministic
+(ascending denominator, then numerator) for every J.  Each command imports
+what it uses, so `verify` loads only the kernel.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import re
 import sys
-from collections.abc import Iterable
 from math import gcd
 
 from .kernel import FUNCTIONS, verify_certificate_json
@@ -137,13 +141,12 @@ def _numerators(n: int) -> list[int]:
     return [d for d in range(1, n) if gcd(d, n) == 1]
 
 
-def _scan_denominator(task: tuple[int, bool, int]) -> tuple[dict, list[str]]:
+def _scan_denominator(n: int, check_numerics: bool, bits: int) -> tuple[dict, list[str]]:
     from fractions import Fraction
 
     from .certifier import certify, verify_certificate
     from .classifier import classify
 
-    n, check_numerics, bits = task
     if check_numerics:
         from .highprec import crosscheck
     counts = {f: {"pole": 0, "exact": 0, "irrational": 0} for f in FUNCTIONS}
@@ -165,15 +168,64 @@ def _scan_denominator(task: tuple[int, bool, int]) -> tuple[dict, list[str]]:
     return counts, failures
 
 
-def _add_scan_results(
-    results: Iterable[tuple[dict, list[str]]], totals: dict, failures: list[str]
-) -> None:
-    """Add each denominator's counts to totals as it arrives, in order."""
-    for counts, fails in results:
-        for f in FUNCTIONS:
-            for kind, c in counts[f].items():
-                totals[f][kind] += c
-        failures.extend(fails)
+def _add_counts(totals: dict, counts: dict) -> None:
+    for f in FUNCTIONS:
+        for kind, c in counts[f].items():
+            totals[f][kind] += c
+
+
+def _scan_stripe(
+    stripe: int, stripes: int, max_den: int, check_numerics: bool, bits: int
+) -> tuple[dict, list]:
+    """Verdict counts, and [n, failure lines] for each n that failed, of one stripe.
+
+    Stripe k of J takes, lazily and in order, each odd part q <= max_den with
+    (q // 2) % J == k and, for each q, the denominators q, 2q, 4q, ... <= max_den,
+    so the work that n shares with its odd part (and tan^2 with n/2) stays in
+    one process and is done just before it is needed.
+    """
+    counts = {f: {"pole": 0, "exact": 0, "irrational": 0} for f in FUNCTIONS}
+    failed: list = []
+    for q in range(2 * stripe + 1, max_den + 1, 2 * stripes):
+        n = q
+        while n <= max_den:
+            n_counts, failures = _scan_denominator(n, check_numerics, bits)
+            _add_counts(counts, n_counts)
+            if failures:
+                failed.append([n, failures])
+            n *= 2
+    return counts, failed
+
+
+def _fork_stripe(stripe: int, scan: tuple, children: list) -> tuple[int, io.BufferedReader]:
+    """Fork a child that writes _scan_stripe(stripe, *scan) as JSON to a pipe.
+
+    Returns the child's pid and the pipe's read end.  The child leaves only by
+    os._exit, so nothing the parent set up (buffers, atexit hooks) runs twice.
+    """
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(r)
+            for _, fh in children:  # only the parent reads the earlier stripes
+                fh.close()
+            with open(w, "w") as out:
+                json.dump(_scan_stripe(stripe, *scan), out)
+            status = 0
+        except BaseException:
+            sys.excepthook(*sys.exc_info())
+        finally:
+            sys.stderr.flush()
+            os._exit(status)
+    os.close(w)
+    return pid, open(r, "rb")
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
@@ -181,20 +233,52 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         raise ValueError("--max-den must be at least 1")
     if args.jobs < 1:
         raise ValueError("--jobs must be at least 1")
-    # a generator, not a list: a list of every task would grow with
-    # --max-den before any work is done
-    tasks = ((n, args.crosscheck, args.bits) for n in range(1, args.max_den + 1))
-    totals = {f: {"pole": 0, "exact": 0, "irrational": 0} for f in FUNCTIONS}
-    failures: list[str] = []
-    # more workers than denominators or CPUs would only idle
-    jobs = min(args.jobs, args.max_den, os.cpu_count() or 1)
-    if jobs > 1:
-        from multiprocessing import Pool  # only scan --jobs pays for this import
+    # more stripes than odd parts or CPUs would only idle
+    jobs = min(args.jobs, (args.max_den + 1) // 2, os.cpu_count() or 1)
+    if not hasattr(os, "fork"):
+        jobs = 1
+    # loaded once, before any fork, so every stripe inherits them compiled
+    from . import certifier, classifier  # noqa: F401
 
-        with Pool(processes=jobs) as pool:
-            _add_scan_results(pool.imap(_scan_denominator, tasks, chunksize=8), totals, failures)
-    else:
-        _add_scan_results(map(_scan_denominator, tasks), totals, failures)
+    if args.crosscheck:
+        from . import highprec  # noqa: F401
+    scan = (jobs, args.max_den, args.crosscheck, args.bits)
+    # so that no child writes the parent's buffered output a second time
+    sys.stdout.flush()
+    sys.stderr.flush()
+    children: list[tuple[int, io.BufferedReader]] = []
+    try:
+        for k in range(1, jobs):
+            children.append(_fork_stripe(k, scan, children))
+        results = [_scan_stripe(0, *scan)]
+        outputs = [fh.read() for _, fh in children]
+    except BaseException:
+        import signal
+
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        statuses = []
+        for pid, fh in children:
+            fh.close()
+            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    broken = False
+    for (pid, _), status, data in zip(children, statuses, outputs):
+        if status:
+            print(f"error: scan worker {pid} exited with status {status}", file=sys.stderr)
+            broken = True
+        else:
+            results.append(json.loads(data))
+    if broken:
+        return 1
+    totals = {f: {"pole": 0, "exact": 0, "irrational": 0} for f in FUNCTIONS}
+    failed = []
+    for counts, stripe_failed in results:
+        _add_counts(totals, counts)
+        failed.extend(stripe_failed)
+    failed.sort()  # by n, which is in one stripe only
+    failures = [line for _, lines in failed for line in lines]
     angles = sum(totals[FUNCTIONS[0]].values())
     for line in failures:
         print(line)

@@ -184,7 +184,7 @@ def _published(centre: int, bits: int) -> RatInterval:
 
 # Entries in the cos cache.  A scan revisits an angle within its own
 # denominator, which this holds up to about 2000; the tan^2 of an even n
-# reads cos at n/2, which it holds up to max-den 72 but not at 300.
+# reads cos at n/2, which scan visits just before n.
 _CACHE_SIZE = 1024
 
 

@@ -3,11 +3,14 @@
 import io
 import json
 import math
+import os
 import re
 import shlex
+import signal
 import subprocess
 import sys
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,6 +18,7 @@ import pytest
 
 from trig_rational.certifier import certificate_to_tree, certify, to_json
 from trig_rational.cli import POLY_MAX_N, run
+from trig_rational.kernel import FUNCTIONS
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -336,51 +340,50 @@ def test_scan_deterministic_across_jobs():
     assert "jobs" not in one.stdout
 
 
+def test_scan_jobs_start_without_multiprocessing():
+    # the stripes are forked from the scan process: no pool, nothing pickled
+    scan = _program_imports("scan", "--max-den", "3", "--jobs", "2")
+    assert not scan & {"multiprocessing", "pickle"}, scan
+
+
 def test_scan_jobs_are_bounded(capsys, monkeypatch):
-    # the pool gets min(J, denominators, CPUs) workers; one worker means none
-    import multiprocessing
-    import os
+    # min(J, odd parts, CPUs) stripes, the scan process running one of them;
+    # none forked where os has no fork
+    forks = []
+    fork = os.fork
 
-    sizes = []
+    def recording_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
 
-    class PoolRecorder:
-        """Stands in for multiprocessing.Pool: records its size, starts nothing."""
-
-        def __init__(self, processes):
-            sizes.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def imap(self, fn, tasks, chunksize=1):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(multiprocessing, "Pool", PoolRecorder)
+    monkeypatch.setattr(os, "fork", recording_fork)
     outputs = {}
-    for cpus, max_den, jobs, size in [
-        (2, 1, 100000, None),
-        (None, 12, 100000, None),
+    for cpus, max_den, jobs, stripes in [
+        (2, 1, 100000, 1),
+        (None, 12, 100000, 1),
         (2, 12, 100000, 2),
         (2, 12, 2, 2),
-        (8, 5, 100000, 5),
+        (8, 5, 100000, 3),
         (8, 12, 3, 3),
-        (8, 12, 1, None),
+        (8, 12, 1, 1),
     ]:
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         assert run(["scan", "--max-den", str(max_den), "--jobs", str(jobs)]) == 0
         outputs.setdefault(max_den, set()).add(capsys.readouterr().out)
-        assert sizes == ([] if size is None else [size]), (cpus, max_den, jobs)
-        sizes.clear()
-    # the output does not depend on the pool
+        assert len(forks) == stripes - 1, (cpus, max_den, jobs)
+        forks.clear()
+    monkeypatch.delattr(os, "fork")
+    assert run(["scan", "--max-den", "12", "--jobs", "4"]) == 0
+    outputs[12].add(capsys.readouterr().out)
+    # the output does not depend on the stripes
     assert all(len(outs) == 1 for outs in outputs.values())
 
 
 def test_scan_makes_tasks_as_it_goes(monkeypatch):
-    # the denominators are fed lazily: stopping after 3 of 10^6 must not
-    # have built a task list first (about 105 MB at that size)
+    # the denominators are made lazily, odd part by odd part: stopping after
+    # 3 of 10^6 must not have built a task list first (about 105 MB at that size)
     import tracemalloc
 
     from trig_rational import cli
@@ -391,11 +394,11 @@ def test_scan_makes_tasks_as_it_goes(monkeypatch):
     calls = []
     scan = cli._scan_denominator
 
-    def scan_denominator(task):
-        calls.append(task)
+    def scan_denominator(n, check_numerics, bits):
+        calls.append(n)
         if len(calls) > 3:
             raise Stop
-        return scan(task)
+        return scan(n, check_numerics, bits)
 
     monkeypatch.setattr(cli, "_scan_denominator", scan_denominator)
     tracemalloc.start()
@@ -405,8 +408,121 @@ def test_scan_makes_tasks_as_it_goes(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert [n for n, _, _ in calls] == [1, 2, 3, 4]
+    assert calls == [1, 2, 4, 8]
     assert peak < 5_000_000, peak
+
+
+@contextmanager
+def _time_limit(seconds):
+    """Raise TimeoutError in this process if the block runs too long."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_scan_worker_that_dies_is_an_error(capsys, monkeypatch):
+    # a stripe that exits without a result fails the scan instead of hanging it
+    from trig_rational import cli
+
+    parent = os.getpid()
+    scan = cli._scan_denominator
+
+    def scan_denominator(n, check_numerics, bits):
+        if os.getpid() != parent:
+            os._exit(3)
+        return scan(n, check_numerics, bits)
+
+    monkeypatch.setattr(cli, "_scan_denominator", scan_denominator)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    with _time_limit(60):
+        assert run(["scan", "--max-den", "40", "--jobs", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(r"error: scan worker \d+ exited with status 3\n", err), err
+    _assert_no_children()
+
+
+def test_scan_reaps_workers_when_its_own_stripe_raises(monkeypatch):
+    from trig_rational import cli
+
+    class Boom(Exception):
+        pass
+
+    parent = os.getpid()
+
+    def scan_denominator(n, check_numerics, bits):
+        if os.getpid() != parent:
+            time.sleep(60)  # still busy when the scan process gives up
+        raise Boom
+
+    monkeypatch.setattr(cli, "_scan_denominator", scan_denominator)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    with _time_limit(30), pytest.raises(Boom):
+        run(["scan", "--max-den", "40", "--jobs", "4"])
+    _assert_no_children()
+
+
+def test_scan_failures_print_in_order_for_every_jobs(capsys, monkeypatch):
+    # children inherit the patch; their failure lines come back in n order
+    from trig_rational import cli
+
+    scan = cli._scan_denominator
+
+    def scan_denominator(n, check_numerics, bits):
+        counts, failures = scan(n, check_numerics, bits)
+        if n % 5 == 0:
+            failures = [f"fail {f} {d}/{n}: injected" for d in cli._numerators(n) for f in FUNCTIONS]
+        return counts, failures
+
+    monkeypatch.setattr(cli, "_scan_denominator", scan_denominator)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    outputs = set()
+    for jobs in range(1, 5):
+        assert run(["scan", "--max-den", "40", "--jobs", str(jobs)]) == 1
+        outputs.add(capsys.readouterr().out)
+    (out,) = outputs
+    keys = []
+    for line in out.splitlines():
+        if line.startswith("fail "):
+            _, f, angle, _ = line.split()
+            d, n = map(int, angle.rstrip(":").split("/"))
+            keys.append((n, d, FUNCTIONS.index(f)))
+    phi = sum(len(cli._numerators(n)) for n in range(5, 41, 5))
+    assert len(keys) == 4 * phi and keys == sorted(keys)
+    assert out.endswith(f"failures: {4 * phi}\n")
+    _assert_no_children()
+
+
+def test_scan_cos_cache_misses_as_an_unbounded_one(capsys, monkeypatch):
+    # odd part by odd part, a scan visits n/2 just before n, whose tan^2
+    # reads cos at n/2, so the bounded cache never runs a series twice
+    import functools
+
+    from trig_rational import highprec
+
+    def misses(cos_raw):
+        monkeypatch.setattr(highprec, "_cos_raw", cos_raw)
+        cos_raw.cache_clear()
+        assert run(["scan", "--max-den", "100", "--crosscheck"]) == 0
+        capsys.readouterr()
+        return cos_raw.cache_info().misses
+
+    bounded = highprec._cos_raw
+    unbounded = functools.lru_cache(maxsize=None)(bounded.__wrapped__)
+    assert misses(bounded) == misses(unbounded)
 
 
 def _readme_examples():
