@@ -12,14 +12,14 @@ the parameters of its lemma:
     be the value at the end of the chain.  Every denominator on the way is
     the working one times a power of two, never 2 or 4, so no doubling
     meets the pole.
-  * poly step: for odd q >= 5, one more doubling lands on s = tan^2 at an
-    angle with reduced denominator q, a root of a monic integer polynomial;
-    the rational root theorem confines any rational s to the positive
-    divisors of q, and each divisor is ruled out either by exact evaluation
-    (not a root) or, for the root 3 = tan^2(pi/3), by an exact angle
-    comparison.  Neither side builds the polynomial: its value at a divisor
-    c is, up to sign, the sqrt(-c) part of (1 + sqrt(-c))^q, one integer
-    power by repeated squaring (polynomial.tan_squared_poly_at).
+  * poly step: the odd part q >= 5.  One more doubling lands on s = tan^2
+    at an angle with reduced denominator q, a root of the monic integer
+    polynomial tan_squared_poly(q), so a rational s is an integer; doubling
+    keeps the denominator q, so T(s) = 4s/(1 - s)^2 and T(T(s)) would be
+    integers too, which holds only at 0 and 3, the tan^2 at denominators 1
+    and 3.  This doubling lemma needs no candidate list, so the step
+    carries nothing else, and neither side builds or evaluates the
+    polynomial.
   * backward quadratic step: for q = 1 and q = 3 the chain stops at 8 or 12,
     where one more doubling hits a known exact value; a rational tan^2 would
     then be a rational root of an integer quadratic whose discriminant is
@@ -34,8 +34,8 @@ kernel (kernel.py), which parses and checks on plain ints and shares no
 code or cache with this module; it rejects unknown fields, non-canonical
 numbers and version drift.  Data the verifier derives from (input,
 function) anyway -- the chain's angles, the relations between the four
-functions, the quadratic's constants, the polynomial and its divisor list
--- is not on the wire.  This module builds certificates, writes them, and
+functions, the quadratic's constants, the polynomial and its roots -- is
+not on the wire.  This module builds certificates, writes them, and
 maps them to and from the kernel's plain form.
 
 to_json writes by template: the envelope is formatted in sorted key order
@@ -55,7 +55,7 @@ from functools import cached_property, lru_cache
 
 from .angle import _cos_fold, _tan_fold, odd_part
 from .classifier import _COS2_VERDICTS, _TAN2_VERDICTS, FUNCTIONS, IRRATIONAL, TrigVerdict
-from .exact_core import FrozenRecord, _store, as_fraction, divisors, gcd, rational_sqrt
+from .exact_core import FrozenRecord, _store, as_fraction, gcd, rational_sqrt
 from .kernel import (
     WIRE_VERSION,
     CertificateFormatError,
@@ -65,7 +65,6 @@ from .kernel import (
     parse,
     verify_certificate_json,
 )
-from .polynomial import tan_squared_poly_at
 
 __all__ = [
     "WIRE_VERSION",
@@ -123,8 +122,9 @@ class ChainStep(_Step):
 
 
 class Exclusion(FrozenRecord):
-    """Why one divisor candidate cannot equal s.
+    """Why one divisor candidate cannot equal s: exclude_candidate's result.
 
+    Certificates carry no exclusions, since the doubling lemma needs none.
     candidate and q_value are Python ints: the candidate is a positive divisor
     of q and the polynomial has integer coefficients.  nonroot records the
     exact polynomial value at the candidate (nonzero); angle records nothing
@@ -148,26 +148,18 @@ class Exclusion(FrozenRecord):
 
 
 class PolyStep(_Step):
-    """s := tan^2 at the doubled chain end is a root of tan_squared_poly(q).
+    """s := tan^2 at the doubled chain end, reduced denominator q >= 5 odd.
 
-    The positive divisors of q are the only possible rational roots, and each
-    one, in ascending order, carries an exclusion.
+    s is a root of the monic tan_squared_poly(q), so a rational s would be
+    an integer, and so would T(s) and T(T(s)); only 0 and 3 qualify, and
+    neither is tan^2 at denominator q.
     """
 
-    __match_args__ = ("q", "exclusions")
+    __match_args__ = ("q",)
     q: int
-    exclusions: tuple[Exclusion, ...]
 
-    def __init__(self, q: int, exclusions: tuple[Exclusion, ...]) -> None:
+    def __init__(self, q: int) -> None:
         _store(self, "q", q)
-        _store(self, "exclusions", exclusions)
-
-    @cached_property
-    def _plain(self) -> tuple:
-        """The kernel's plain form, built once: certify shares one step per n."""
-        return "poly", self.q, tuple([
-            ("nonroot", e.candidate, e.q_value) if e.method == "nonroot" else ("angle", e.candidate)
-            for e in self.exclusions])
 
 
 class BackwardQuadraticStep(_Step):
@@ -253,7 +245,7 @@ def _tan2_steps(n: int) -> tuple[TrigVerdict, tuple[CertStep, ...]]:
         return _TAN2_VERDICTS[n], (BaseStep(),)
     a, q = odd_part(n)
     if q >= 5:
-        return IRRATIONAL, (ChainStep(a), PolyStep(q, _exclusions_for(q)))
+        return IRRATIONAL, (ChainStep(a), PolyStep(q))
     # odd part 1 or 3: stop at denominator 8 or 12, where doubling hits an
     # exact value and the double-angle preimage quadratic takes over
     if q == 1:
@@ -271,7 +263,8 @@ def exclude_candidate(
     polynomial can have is 3 = tan^2(pi/3), a base value at another
     denominator than q's, so a root gets an angle exclusion.  The exclusion
     does not depend on d', which is only checked; bits is ignored.  Both stay
-    so that existing callers keep working.
+    so that existing callers keep working.  certify does not call it: the
+    doubling lemma needs no candidates.
     """
     candidate = as_fraction(candidate)
     if q < 5 or q % 2 == 0:
@@ -282,21 +275,11 @@ def exclude_candidate(
         raise ValueError("candidates are positive")
     if candidate.denominator != 1:
         raise ValueError("candidates are integers")
-    return _exclusion(q, candidate.numerator)
+    from .polynomial import tan_squared_poly_at  # certify needs no polynomial
 
-
-def _exclusion(q: int, c: int) -> Exclusion:
-    value = _poly_value_at(q, c)
+    c = candidate.numerator
+    value = tan_squared_poly_at(q, c)
     return Exclusion(c, "nonroot", q_value=value) if value else Exclusion(c, "angle")
-
-
-@lru_cache(maxsize=1024)
-def _poly_value_at(q: int, candidate: int) -> int:
-    return tan_squared_poly_at(q, candidate)
-
-
-def _exclusions_for(q: int) -> tuple[Exclusion, ...]:
-    return tuple(_exclusion(q, c) for c in divisors(q))
 
 
 # ------------------------------------------- the kernel's plain form ------
@@ -321,15 +304,14 @@ def _plain(cert: Certificate) -> tuple:
 _PLAIN_STEP = {
     BaseStep: lambda s: ("base",),
     ChainStep: lambda s: ("chain", s.doublings),
-    PolyStep: lambda s: s._plain,
+    PolyStep: lambda s: ("poly", s.q),
     BackwardQuadraticStep: lambda s: ("backward_quadratic", s.den),
     SqrtStep: lambda s: ("sqrt_step",),
 }
 _STEP_OF = {  # plain step -> step record
     "base": BaseStep,
     "chain": ChainStep,
-    "poly": lambda q, exclusions: PolyStep(
-        q, tuple(Exclusion(c, method, *value) for method, c, *value in exclusions)),
+    "poly": PolyStep,
     "backward_quadratic": BackwardQuadraticStep,
     "sqrt_step": SqrtStep,
 }
@@ -359,17 +341,10 @@ def _rat(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _exclusion_tree(e: Exclusion) -> dict:
-    if e.method == "angle":
-        return {"candidate": str(e.candidate), "method": "angle"}
-    return {"candidate": str(e.candidate), "method": "nonroot", "Q_value": str(e.q_value)}
-
-
 _STEP_TREE = {
     BaseStep: lambda s: {"type": "base"},
     ChainStep: lambda s: {"type": "chain", "doublings": str(s.doublings)},
-    PolyStep: lambda s: {
-        "type": "poly", "q": str(s.q), "exclusions": list(map(_exclusion_tree, s.exclusions))},
+    PolyStep: lambda s: {"type": "poly", "q": str(s.q)},
     BackwardQuadraticStep: lambda s: {"type": "backward_quadratic", "den": str(s.den)},
     SqrtStep: lambda s: {"type": "sqrt_step"},
 }
@@ -379,7 +354,7 @@ def certificate_from_tree(tree: object) -> Certificate:
     """Strict inverse of certificate_to_tree; raises CertificateFormatError.
 
     kernel.parse checks the tree; the message starts with a JSON path, such
-    as steps[1].exclusions[2].Q_value.
+    as steps[1].q.
     """
     _, (num, den), function, verdict, steps = parse(tree)
     kind, *value = verdict

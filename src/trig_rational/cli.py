@@ -1,12 +1,12 @@
 """Command-line front end: classify, certify, verify, scan, poly.
 
-Exit codes: 0 success, 1 verification or cross-check failure, a scan worker
-that exited without its result, or a certificate that cannot be written,
-2 usage error.
+Exit codes: 0 success, 1 verification or cross-check failure or a scan
+worker that exited without its result, 2 usage error.
 `scan --jobs J` splits the odd parts q into J stripes, each taking q, 2q, 4q,
 ... in turn; the scan process loads the package once, forks J - 1 children
 that inherit it, runs one stripe itself and reads the others' results from
-pipes (one process where os.fork is missing).  Its output is deterministic
+pipes (one process where os.fork is missing); a child whose scan process
+is gone leaves between denominators.  Its output is deterministic
 (ascending denominator, then numerator) for every J.  Each command imports
 what it uses, so `verify` loads only the kernel.
 """
@@ -96,12 +96,9 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         if not result:
             print(f"verification failed: {result.reason}", file=sys.stderr)
             return 1
-    try:
-        text = to_json(cert)
-    except ValueError as e:  # a number past the int-to-str digit limit
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    print(text)
+    # every number in it is at most the input's, which parsed under the same
+    # int-to-str digit limit
+    print(to_json(cert))
     return 0
 
 
@@ -175,20 +172,25 @@ def _add_counts(totals: dict, counts: dict) -> None:
 
 
 def _scan_stripe(
-    stripe: int, stripes: int, max_den: int, check_numerics: bool, bits: int
+    stripe: int, stripes: int, max_den: int, check_numerics: bool, bits: int, scan_pid: int
 ) -> tuple[dict, list]:
     """Verdict counts, and [n, failure lines] for each n that failed, of one stripe.
 
     Stripe k of J takes, lazily and in order, each odd part q <= max_den with
     (q // 2) % J == k and, for each q, the denominators q, 2q, 4q, ... <= max_den,
     so the work that n shares with its odd part (and tan^2 with n/2) stays in
-    one process and is done just before it is needed.
+    one process and is done just before it is needed.  Run in a forked child,
+    the stripe leaves by os._exit between denominators once scan_pid, the
+    scan process, is no longer the child's parent: nobody would read it.
     """
+    forked = os.getpid() != scan_pid
     counts = {f: {"pole": 0, "exact": 0, "irrational": 0} for f in FUNCTIONS}
     failed: list = []
     for q in range(2 * stripe + 1, max_den + 1, 2 * stripes):
         n = q
         while n <= max_den:
+            if forked and os.getppid() != scan_pid:
+                os._exit(1)
             n_counts, failures = _scan_denominator(n, check_numerics, bits)
             _add_counts(counts, n_counts)
             if failures:
@@ -242,7 +244,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
     if args.crosscheck:
         from . import highprec  # noqa: F401
-    scan = (jobs, args.max_den, args.crosscheck, args.bits)
+    scan = (jobs, args.max_den, args.crosscheck, args.bits, os.getpid())
     # so that no child writes the parent's buffered output a second time
     sys.stdout.flush()
     sys.stderr.flush()

@@ -327,8 +327,19 @@ def crosscheck(
     `bits`, the starting precision, must lie in [MIN_BITS, MAX_BITS].  Pole
     claims are checked symbolically (only the exact reduced angle is the
     pole).  Exact claims pass iff the claimed value lies in the enclosure.
-    Irrational claims pass once some refinement up to MAX_BITS excludes
-    every member of the function's exceptional value set.
+    Irrational claims pass once some refinement excludes every member of
+    the function's exceptional value set; the bits double up to
+    max(MAX_BITS, 2 bitlen(n) + 64) for the reduced denominator n, and the
+    last pass runs at that cap.
+
+    The cap decides every irrational claim.  Each exceptional value is taken
+    only at angles d'/n' pi with n' in {1, 2, 3, 4, 6}, so a non-exceptional
+    angle d/n pi lies at least pi/(6 n) from each of them, and the function,
+    monotone on the folded range, differs from each exceptional value by
+    more than 1/(10 n^2).  The tightest case is cos near +-1, with a gap of
+    1 - cos(pi/(6 n)), about 1/(7 n^2).  The last enclosure's width,
+    2^-cap < 2^-64/n^2, is far below that, so the work grows with the
+    input's size, not its value.
     """
     _check_bits(bits)
     if function == "cos":
@@ -374,19 +385,19 @@ def _check(
     centre, d: int, n: int, outside, values, verdict: TrigVerdict, bits: int
 ) -> bool:
     """Exact claims: the value lies in the enclosure at `bits`.  Irrational
-    claims: some enclosure, doubling the bits up to MAX_BITS, excludes every
+    claims: some enclosure, doubling the bits up to the cap
+    max(MAX_BITS, 2 bitlen(n) + 64) and ending at the cap, excludes every
     exceptional value.  centre(d, n, b) gives the enclosure's grid centre."""
     if verdict.kind == "exact":
         v = as_fraction(verdict.value)
         c, g = centre(d, n, bits), 1 << (bits + 4)
         return not outside(v.numerator, v.denominator, c, g)
+    cap = max(MAX_BITS, 2 * n.bit_length() + 64)
     b = bits
-    while b <= MAX_BITS:
+    while True:
         c, g = centre(d, n, b), 1 << (b + 4)
-        for p, q in values:
-            if not outside(p, q, c, g):
-                break
-        else:
+        if all(outside(p, q, c, g) for p, q in values):
             return True
-        b *= 2
-    return False
+        if b == cap:
+            return False
+        b = min(2 * b, cap)

@@ -2,17 +2,16 @@
 
 This module uses only the standard library and imports nothing else from the
 package, so a certificate can be checked without the code that made it.
-``parse`` turns a JSON tree of the version-3 wire format into a plain
+``parse`` turns a JSON tree of the version-4 wire format into a plain
 certificate, and ``check`` decides whether that certificate proves its
 verdict.  A plain certificate is the wire tree with every object a tuple, its
 tag first and its fields after it in wire order, and every number an int;
 rationals are (num, den) pairs in lowest terms with den >= 1:
 
-    (3, (num, den), function, verdict, steps)
+    (4, (num, den), function, verdict, steps)
     verdict    ("exact", (num, den)) | ("pole",) | ("irrational",)
-    step       ("base",) | ("chain", doublings) | ("poly", q, exclusions)
+    step       ("base",) | ("chain", doublings) | ("poly", q)
                | ("backward_quadratic", den) | ("sqrt_step",)
-    exclusion  ("nonroot", candidate, Q_value) | ("angle", candidate)
 
 The checker trusts these facts and nothing else:
 
@@ -27,13 +26,18 @@ The checker trusts these facts and nothing else:
    halves an even reduced denominator, so a rational tan^2 stays rational
    down the chain; a rational root of u x^2 - 2(u + 2v) x + u (the preimage
    of D = u/v) needs a square discriminant.
-4. p_q is monic: for odd q = 2m + 1 >= 5 and gcd(k, q) = 1, tan^2(k pi/q) is
-   a root of p_q(X) = sum_j (-1)^(m+j) C(q, 2j+1) X^j, which is monic with
-   integer coefficients and constant term +-q, so by the rational root
-   theorem a rational root is a positive divisor of q.  Its value at c is
-   (-1)^m B, where (1 + sqrt(-c))^q = A + B sqrt(-c).
+4. The doubling lemma: for odd q >= 5 and gcd(k, q) = 1, s = tan^2(k pi/q)
+   is irrational.  s is a root of the monic integer polynomial
+   p_q(X) = sum_j (-1)^(m+j) C(q, 2j+1) X^j (q = 2m + 1), so by the rational
+   root theorem a rational s is an integer.  Doubling keeps the reduced
+   denominator q and never meets the pole, so T(s) = 4s/(1 - s)^2 and T(T(s))
+   are roots of p_q too, hence integers.  As gcd(c, c - 1) = 1, T(c) is an
+   integer only when (c - 1)^2 divides 4, so the squares s and T(s) lie in
+   {0, 2, 3}; T(2) = 8 is no such value, so s is 0 or 3, the tan^2 at
+   denominators 1 and 3 (fact 5 rules both out).
 5. Monotonicity: tan^2 is strictly increasing on [0, pi/2), so tan^2 at an
-   angle with reduced denominator q >= 5 is not 3 = tan^2(pi/3).
+   angle with reduced denominator q >= 5 is neither 0 = tan^2(0) nor
+   3 = tan^2(pi/3).
 6. A rational a/b in lowest terms is a square exactly when a and b are.
 """
 
@@ -41,7 +45,6 @@ from __future__ import annotations
 
 import json
 import re
-from functools import lru_cache
 from math import gcd, isqrt
 
 __all__ = [
@@ -55,7 +58,7 @@ __all__ = [
     "verify_certificate_json",
 ]
 
-WIRE_VERSION = 3
+WIRE_VERSION = 4
 FUNCTIONS = ("tan2", "tan", "cos2", "cos")
 
 
@@ -124,7 +127,7 @@ def loads(text: str | bytes) -> object:
 def parse(tree: object) -> tuple:
     """The plain certificate of a wire tree; raises CertificateFormatError.
 
-    The message starts with a JSON path, such as steps[1].exclusions[2].Q_value.
+    The message starts with a JSON path, such as steps[1].q.
     """
     try:
         cert = _CERTIFICATE(tree)
@@ -218,14 +221,10 @@ def _record(tag_key: str, variants: dict):
     return parse_record
 
 
-_EXCLUSION = _record("method", {
-    "nonroot": [("candidate", _int), ("Q_value", _int)],
-    "angle": [("candidate", _int)],
-})
 _STEP = _record("type", {
     "base": [],
     "chain": [("doublings", _int)],
-    "poly": [("q", _int), ("exclusions", _list(_EXCLUSION))],
+    "poly": [("q", _int)],
     "backward_quadratic": [("den", _int)],
     "sqrt_step": [],
 })
@@ -255,9 +254,9 @@ def check(cert: tuple) -> VerificationResult:
     parameters against them: the number of doublings (a, a - 3 at stop 8,
     a - 2 at stop 12), the odd part q, the quadratic's stop, and the
     square-root marker, present exactly when the function's square is
-    rational with no rational root.  The divisors of q, the values of p_q at
-    them, the angle exclusion of the root 3, the discriminant and every
-    square test are recomputed in exact arithmetic.
+    rational with no rational root.  The poly step needs nothing more: the
+    doubling lemma (fact 4) covers every odd q >= 5.  The discriminant and
+    every square test are recomputed in exact arithmetic.
     """
     _, (num, den), function, verdict, steps = cert
     try:
@@ -306,7 +305,8 @@ def _tan2(n: int, steps: tuple) -> tuple:
     if q >= 5:
         if last[0] != "poly":
             raise _Fail("expected a poly step")
-        _check_poly(last, q)
+        if last[1] != q:  # facts 4 and 5 settle every odd q >= 5
+            raise _Fail("odd part mismatch")
     else:
         if last[0] != "backward_quadratic":
             raise _Fail("expected a backward quadratic step")
@@ -316,27 +316,6 @@ def _tan2(n: int, steps: tuple) -> tuple:
         if _is_square(4 * (u + 2 * v) ** 2 - 4 * u * u):
             raise _Fail("verdict not entailed")
     return _IRRATIONAL
-
-
-def _check_poly(step: tuple, q: int) -> None:
-    """One exclusion per positive divisor of q, ascending (facts 4 and 5)."""
-    _, step_q, exclusions = step
-    if step_q != q:
-        raise _Fail("odd part mismatch")
-    cands = _divisors(q)
-    if len(exclusions) != len(cands):
-        raise _Fail("exclusion count mismatch")
-    for c, exc in zip(cands, exclusions):
-        if exc[1] != c:
-            raise _Fail("exclusion candidate mismatch")
-        if exc[0] == "nonroot":
-            value = _p_at(q, c)
-            if exc[2] != value:
-                raise _Fail("exact evaluation mismatch")
-            if value == 0:
-                raise _Fail("candidate is a root but marked nonroot")
-        elif c != 3:
-            raise _Fail("candidate not separated")
 
 
 def _root(n: int, steps: tuple, square_of, sign: int) -> tuple:
@@ -365,26 +344,3 @@ def _root(n: int, steps: tuple, square_of, sign: int) -> tuple:
 
 def _is_square(k: int) -> bool:
     return k >= 0 and isqrt(k) ** 2 == k
-
-
-@lru_cache(maxsize=1024)
-def _divisors(n: int) -> tuple[int, ...]:
-    """The positive divisors of n >= 1, ascending, by trial division."""
-    small = [i for i in range(1, isqrt(n) + 1) if n % i == 0]
-    return (*small, *[n // i for i in reversed(small) if i * i != n])
-
-
-@lru_cache(maxsize=1024)
-def _p_at(q: int, c: int) -> int:
-    """p_q(c) for odd q = 2m + 1, by the power identity of fact 4.
-
-    (1 + t)^q with t^2 = -c is formed over the bits of q: a square
-    (a + b t)^2 = (a^2 - c b^2) + 2ab t per bit, then a step
-    (a + b t)(1 + t) = (a - c b) + (a + b) t per set bit.
-    """
-    a, b = 1, 0
-    for bit in bin(q)[2:]:
-        a, b = a * a - c * b * b, 2 * a * b
-        if bit == "1":
-            a, b = a - c * b, a + b
-    return b if q % 4 == 1 else -b  # (-1)^m B

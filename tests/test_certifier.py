@@ -1,5 +1,6 @@
 """Tests for certificate generation, verification and the wire format."""
 
+import copy
 import hashlib
 import json
 import random
@@ -76,47 +77,31 @@ def test_certify_base_cases():
 def test_certify_odd_denominator_five():
     cert = certify(Fraction(1, 5))
     assert cert.verdict == IRRATIONAL
-    chain, poly = cert.steps
-    assert chain == ChainStep(0)
-    assert poly.q == 5
-    assert [e.candidate for e in poly.exclusions] == [1, 5]
-    assert [e.method for e in poly.exclusions] == ["nonroot", "nonroot"]
-    assert [e.q_value for e in poly.exclusions] == [-4, -20]
+    assert cert.steps == (ChainStep(0), PolyStep(5))
     assert verify_certificate(cert)
 
 
 def test_certify_denominator_fifteen():
+    # 3 = tan^2(pi/3) is a root of the polynomial at 15, but the doubling
+    # lemma needs no candidates: the poly step is the odd part alone
     cert = certify(Fraction(1, 15))
     chain, poly = cert.steps
     assert chain == ChainStep(0)
-    assert poly.q == 15
-    assert [e.candidate for e in poly.exclusions] == [1, 3, 5, 15]
-    assert [e.method for e in poly.exclusions] == [
-        "nonroot",
-        "angle",
-        "nonroot",
-        "nonroot",
-    ]
-    assert [e.q_value for e in poly.exclusions] == [
-        128,
-        None,
-        306560,
-        -220938240,
-    ]
-    # 3 = tan^2(pi/3) is a root of the polynomial, at another angle than 2/15
-    assert poly.exclusions[1] == Exclusion(Fraction(3), "angle")
+    assert poly == PolyStep(15) and poly.__match_args__ == ("q",)
+    # every numerator and function of one denominator shares the step
+    assert all(certify(Fraction(d, 30), f).steps[1] is certify(Fraction(1, 30)).steps[1]
+               for d in (1, 7, 11, 13) for f in FUNCTIONS)
     assert verify_certificate(cert)
 
 
 def test_exclusion_fields_are_ints():
     cert = certify(Fraction(7, 90), "cos")  # odd part 45: roots and nonroots
     for c in (cert, from_json(to_json(cert))):
-        exclusions = c.steps[-1].exclusions
-        assert {e.method for e in exclusions} == {"nonroot", "angle"}
-        for e in exclusions:
-            assert type(e.candidate) is int
-            assert type(e.q_value) is int or e.method == "angle"
-    for e in exclude_candidate(15, 2, 3), exclude_candidate(15, 2, Fraction(5)):
+        assert c.steps[-1] == PolyStep(45) and type(c.steps[-1].q) is int
+    # exclude_candidate still rules out single candidates, with int fields
+    exclusions = [exclude_candidate(45, 2, c) for c in (1, 3, 5, 9, 15, 45)]
+    assert {e.method for e in exclusions} == {"nonroot", "angle"}
+    for e in (*exclusions, exclude_candidate(15, 2, Fraction(5))):
         assert type(e.candidate) is int
         assert type(e.q_value) is int or e.method == "angle"
     # equality is by value, so a Fraction-valued candidate still matches
@@ -130,8 +115,7 @@ def test_certifier_caches_are_bounded():
         for f in vars(module).values()
         if hasattr(f, "cache_info")
     ]
-    assert certifier._tan2_steps in cached and certifier._poly_value_at in cached
-    assert kernel._p_at in cached
+    assert certifier._tan2_steps in cached
     for f in cached:
         assert f.cache_info().maxsize is not None, f.__name__
 
@@ -381,49 +365,51 @@ def test_verify_rejects_chain_tampering():
 
 
 def test_verify_rejects_poly_tampering():
+    # the step must name the input's odd part: not another odd number, not a
+    # divisor or multiple of it, not the q of another angle
     cert = certify(Fraction(1, 5))
     chain, poly = cert.steps
-    exc = poly.exclusions
-
-    bad = replace(cert, steps=(chain, replace(poly, q=7)))
+    for q in (7, 15, 1, 3, -5, 0, 5 + 2**64):
+        bad = replace(cert, steps=(chain, PolyStep(q)))
+        assert verify_certificate(bad).reason == "odd part mismatch", q
+    cert = certify(Fraction(3, 40), "cos")  # 5 * 2^3
+    bad = replace(cert, steps=(cert.steps[0], PolyStep(15)))
     assert verify_certificate(bad).reason == "odd part mismatch"
-
-    bad = replace(cert, steps=(chain, replace(poly, exclusions=exc[:1])))
-    assert verify_certificate(bad).reason == "exclusion count mismatch"
-
-    wrong_value = (replace(exc[0], q_value=Fraction(7)), exc[1])
-    bad = replace(cert, steps=(chain, replace(poly, exclusions=wrong_value)))
-    assert verify_certificate(bad).reason == "exact evaluation mismatch"
+    # a poly step where the chain stops at 8 or 12
+    cert = certify(Fraction(1, 24))
+    bad = replace(cert, steps=(cert.steps[0], PolyStep(3)))
+    assert verify_certificate(bad).reason == "expected a backward quadratic step"
 
 
 def test_verify_rejects_root_marked_nonroot():
-    cert = certify(Fraction(1, 9))
-    chain, poly = cert.steps
-    assert poly.exclusions[1].method == "angle"
-    lie = Exclusion(Fraction(3), "nonroot", q_value=Fraction(0))
-    exclusions = (poly.exclusions[0], lie, poly.exclusions[2])
-    bad = replace(cert, steps=(chain, replace(poly, exclusions=exclusions)))
-    assert verify_certificate(bad).reason == "candidate is a root but marked nonroot"
+    # 3 = tan^2(pi/3) is a root of p_q whenever 3 divides q; the lemma proves
+    # s != 3 from the angle, so claiming the root is rejected, as is a poly
+    # step at the root's own denominator 3
+    for q in (9, 15, 45):
+        cert = certify(Fraction(1, q))
+        assert cert.steps[1] == PolyStep(q) and verify_certificate(cert)
+        for verdict in (TrigVerdict.exact(3), TrigVerdict.exact(0)):
+            forged = replace(cert, verdict=verdict)
+            assert verify_certificate(forged).reason == "verdict not entailed"
+        bad = replace(cert, steps=(cert.steps[0], PolyStep(3)))
+        assert verify_certificate(bad).reason == "odd part mismatch"
 
 
 def test_verify_rejects_angle_tampering():
+    # an angle with another odd part, or the same odd part under another
+    # number of doublings, does not carry over
     cert = certify(Fraction(1, 9))
-    chain, poly = cert.steps
-
-    ordered = (poly.exclusions[1], poly.exclusions[0], poly.exclusions[2])
-    bad = replace(cert, steps=(chain, replace(poly, exclusions=ordered)))
-    assert verify_certificate(bad).reason == "exclusion candidate mismatch"
-
-    # 5 is no base value, so an angle exclusion proves nothing about it
-    cert = certify(Fraction(1, 15))
-    chain, poly = cert.steps
-    exclusions = list(poly.exclusions)
-    exclusions[2] = Exclusion(Fraction(5), "angle")
-    bad = replace(cert, steps=(chain, replace(poly, exclusions=tuple(exclusions))))
-    assert verify_certificate(bad).reason == "candidate not separated"
-
-    with pytest.raises(ValueError):
-        Exclusion(Fraction(3), "angle", q_value=Fraction(1))
+    for r in (Fraction(1, 7), Fraction(2, 27), Fraction(1, 3)):
+        bad = replace(cert, input=r)
+        assert not verify_certificate(bad).ok, r
+    assert verify_certificate(replace(cert, input=Fraction(4, 9) + 7))
+    bad = replace(cert, input=Fraction(1, 18))
+    assert verify_certificate(bad).reason == "chain length mismatch"
+    # a cos certificate's poly step reads the tan fold's odd part
+    cert = certify(Fraction(5, 18), "cos")
+    assert cert.steps[1] == PolyStep(9)
+    assert verify_certificate(replace(cert, function="tan"))
+    assert not verify_certificate(replace(cert, steps=(cert.steps[0], PolyStep(5)))).ok
 
 
 def test_verify_rejects_quadratic_tampering():
@@ -509,20 +495,14 @@ def test_json_round_trip_examples():
 
 def test_wire_tree_shape():
     tree = certificate_to_tree(certify(Fraction(1, 15)))
-    assert tree["version"] == 3 and not isinstance(tree["version"], bool)
+    assert tree["version"] == 4 and not isinstance(tree["version"], bool)
     assert tree["input"] == "1/15"
     assert tree["function"] == "tan2"
     assert tree["verdict"] == {"kind": "irrational"}
-    chain, poly = tree["steps"]
-    assert chain == {"type": "chain", "doublings": "0"}
-    assert poly["type"] == "poly"
-    assert set(poly) == {"type", "q", "exclusions"}
-    assert poly["q"] == "15"
-    assert [e["candidate"] for e in poly["exclusions"]] == ["1", "3", "5", "15"]
-    nonroot = poly["exclusions"][0]
-    assert set(nonroot) == {"candidate", "method", "Q_value"}
-    assert nonroot["Q_value"] == "128"
-    assert poly["exclusions"][1] == {"candidate": "3", "method": "angle"}
+    assert tree["steps"] == [{"type": "chain", "doublings": "0"}, {"type": "poly", "q": "15"}]
+
+    tree = certificate_to_tree(certify(Fraction(3, 40), "cos"))
+    assert tree["steps"] == [{"type": "chain", "doublings": "3"}, {"type": "poly", "q": "5"}]
 
     tree = certificate_to_tree(certify(Fraction(5, 48), "tan"))
     assert tree["steps"] == [
@@ -557,18 +537,22 @@ def test_parser_rejects_malformed_trees():
     t = _tree()
     del t["version"]
     reject(t, "missing version")
+    for version in (1, 2, 3):
+        t = _tree()
+        t["version"] = version
+        reject(t, f"old version {version}")
     t = _tree()
-    t["version"] = 2
-    reject(t, "wrong version")
-    t = _tree()
-    t["version"] = 4
+    t["version"] = 5
     reject(t, "unknown version")
     t = _tree()
     t["version"] = True
     reject(t, "boolean version")
     t = _tree()
-    t["version"] = "3"
+    t["version"] = "4"
     reject(t, "stringly version")
+    t = _tree()
+    t["version"] = 4.0
+    reject(t, "float version")
     t = _tree()
     t["input"] = "2/12"
     reject(t, "non-canonical rational")
@@ -640,18 +624,24 @@ def test_parser_rejects_malformed_trees():
     t = _tree(Fraction(1, 6), "cos2")
     t["steps"].insert(0, {"type": "identity_step", "relation": "cos2 = 1/(1+tan2)"})
     reject(t, "v2 identity step")
+    # fields that version 3 carried and version 4 derives
     t = _tree(Fraction(1, 15))
-    t["steps"][1]["exclusions"][0]["method"] = "magic"
-    reject(t, "unknown exclusion method")
+    t["steps"][1]["exclusions"] = [
+        {"candidate": "1", "method": "nonroot", "Q_value": "128"},
+        {"candidate": "3", "method": "angle"},
+        {"candidate": "5", "method": "nonroot", "Q_value": "306560"},
+        {"candidate": "15", "method": "nonroot", "Q_value": "-220938240"}]
+    reject(t, "poly step with v3 exclusions")
     t = _tree(Fraction(1, 15))
-    t["steps"][1]["exclusions"][0]["bits"] = 64
-    reject(t, "nonroot with a v1 separation field")
+    t["steps"][1]["exclusions"] = []
+    reject(t, "poly step with an empty v3 exclusion list")
     t = _tree(Fraction(1, 15))
-    t["steps"][1]["exclusions"][1]["Q_value"] = "0"
-    reject(t, "angle exclusion with a Q_value")
-    t = _tree(Fraction(1, 15))
-    del t["steps"][1]["exclusions"][0]["Q_value"]
-    reject(t, "nonroot without a Q_value")
+    del t["steps"][1]["q"]
+    reject(t, "poly step without q")
+    for q in ("015", "+15", "15.0", 15, 15.0, True, None, ["15"], "15/1"):
+        t = _tree(Fraction(1, 15))
+        t["steps"][1]["q"] = q
+        reject(t, f"non-canonical q {q!r}")
     t = _tree(Fraction(1, 15))
     t["steps"][1]["coeffs"] = [
         "-15", "455", "-3003", "6435", "-5005", "1365", "-105", "1"]
@@ -707,9 +697,22 @@ def test_any_single_field_mutation_fails():
         (Fraction(7, 45), "tan2"),
         (Fraction(1, 105), "cos2"),
         (Fraction(1, 252), "tan"),  # two doublings down to 63
-        (Fraction(1, 315), "tan2"),  # 12 divisors
-        (Fraction(11, 1890), "cos"),  # 945: 16 divisors, one doubling
+        (Fraction(1, 315), "tan2"),
+        (Fraction(11, 1890), "cos"),  # 945, one doubling
     ]
+    # every function on each step shape: small and large odd parts (2^61 - 1
+    # and 10^19 + 51 are prime), short and long chains and both quadratic
+    # stops; then exact values, some with a sign
+    cases += [
+        (r, f)
+        for r in (Fraction(1, 7), Fraction(3, 10), Fraction(5, 12), Fraction(1, 16),
+                  Fraction(7, 48), Fraction(1, 3 << 40), Fraction(2, 5 << 40),
+                  Fraction(1, 2**61 - 1), Fraction(5, 3 * 7 * 11 * 13),
+                  Fraction(-3, 10**19 + 51))
+        for f in FUNCTIONS
+    ]
+    cases += [(Fraction(5, 6), "tan2"), (Fraction(5, 6), "cos2"), (Fraction(2, 3), "cos2"),
+              (Fraction(5, 4), "tan"), (Fraction(5, 4), "cos2"), (Fraction(-1, 3), "cos")]
     # a pole and a base value with a square-root marker carry no number at
     # all outside the input: there is nothing to mutate
     bare = [(Fraction(1, 2), "tan2"), (Fraction(1, 3), "tan"), (Fraction(1, 4), "cos")]
@@ -728,7 +731,7 @@ def test_any_single_field_mutation_fails():
             res = verify_certificate_json(json.dumps(mutated))
             assert not res.ok, (r, f, site)
             total += 1
-    assert total >= 90
+    assert total >= 90, total
 
 
 def test_mutation_helper_targets_numbers_only():
@@ -744,19 +747,21 @@ def test_mutation_helper_targets_numbers_only():
 
 
 def test_format_errors_name_the_json_path():
-    exc = ("steps", 1, "exclusions")
     cases = [
-        ((*exc, 2, "Q_value"), "1/2", "steps[1].exclusions[2].Q_value"),
-        ((*exc, 1, "candidate"), "03", "steps[1].exclusions[1].candidate"),
-        ((*exc, 0, "method"), None, "steps[1].exclusions[0]"),
-        ((*exc, 1, "method"), "separation", "steps[1].exclusions[1]"),
+        (("steps", 1, "q"), "1/2", "steps[1].q"),
+        (("steps", 1, "q"), "015", "steps[1].q"),
+        (("steps", 1, "q"), None, "steps[1].q"),
         (("steps", 1, "q"), "-0", "steps[1].q"),
+        (("steps", 1, "exclusions"), [], "steps[1]"),
+        (("steps", 1, "type"), "sqrt_step", "steps[1]"),
+        (("steps", 1), "poly", "steps[1]"),
         (("steps", 0, "doublings"), 0, "steps[0].doublings"),
         (("steps", 0, "angles"), [], "steps[0]"),
         (("steps", 1, "type"), "identity_step", "steps[1]"),
         (("verdict", "kind"), ["irrational"], "verdict"),
         (("input",), "2/30", "input"),
         (("version",), 2, "certificate"),
+        (("version",), 3, "certificate"),
     ]
     for path, value, where in cases:
         tree = _tree(Fraction(1, 15))
@@ -770,10 +775,9 @@ def test_format_errors_name_the_json_path():
 
 def test_wire_bytes_are_pinned():
     # every reduced angle with denominator <= 30, all four functions: every
-    # step type and both exclusion methods, byte for byte.  The digest is that
-    # of the version-2 output with each tree rewritten to version 3 (identity
-    # steps dropped, chain angles replaced by their count less one, base,
-    # quadratic and square-root steps cut to their type and stop)
+    # step type, byte for byte.  The digest is that of the version-3 output
+    # with each tree rewritten to version 4 (the poly step's exclusions
+    # dropped, the version set to 4) and dumped again with sorted keys
     digest = hashlib.sha256()
     for n in range(1, 31):
         for d in range(n):
@@ -781,7 +785,7 @@ def test_wire_bytes_are_pinned():
                 for f in FUNCTIONS:
                     digest.update(to_json(certify(Fraction(d, n), f)).encode())
     assert digest.hexdigest() == (
-        "995df61827155e0ab1f7cf6b61f7b38a30306ed1697e664994d5de21c31643f6"
+        "7eb2fe83671c1c63bc5d6ee3d031873328f15dee23aa9090fc16caeba70b5965"
     )
 
 
@@ -804,17 +808,18 @@ def test_template_matches_the_tree(num, q, k, f):
 
 def test_template_matches_the_tree_on_odd_step_values():
     # a cache keyed by equality would mix these up: ChainStep(True) ==
-    # ChainStep(1), but the tree prints "True"; Fraction(7) prints as "7"
+    # ChainStep(1) and PolyStep(5.0) == PolyStep(5), but the tree prints
+    # "True" and "5.0"
     cert = certify(Fraction(1, 10))
     chain, poly = cert.steps
-    lying = replace(poly, exclusions=(replace(poly.exclusions[0], q_value=Fraction(7)),
-                                      *poly.exclusions[1:]))
-    assert chain == ChainStep(1) == ChainStep(True)
+    lying = PolyStep(5.0)
+    assert chain == ChainStep(1) == ChainStep(True) and lying == poly
     for steps in ((ChainStep(True), poly), (chain, poly), (chain, lying)):
         c = replace(cert, steps=steps)
         assert to_json(c) == _tree_json(c)
         assert verify_certificate_json(to_json(c)).ok == (steps[0] is chain and steps[1] is poly)
     assert '"doublings": "True"' in to_json(replace(cert, steps=(ChainStep(True), poly)))
+    assert '"q": "5.0"' in to_json(replace(cert, steps=(chain, lying)))
     for c in (replace(cert, input=7), replace(cert, steps=()),
               replace(certify(Fraction(1, 3), "cos"), verdict=TrigVerdict.exact(-3))):
         assert to_json(c) == _tree_json(c)
@@ -844,21 +849,24 @@ def test_each_step_is_rendered_once(monkeypatch):
 
 
 def test_unwritable_step_is_not_cached():
-    # the three inputs with odd parts past 2,527 (2,531, 2,749 and 2,999)
-    # whose Q_values exceed the default int-to-str limit: certify succeeds,
-    # and every to_json raises, not only the first
+    # an odd part of 5,001 digits: certify succeeds without factoring it, and
+    # at the default int-to-str limit the step's text cannot be rendered, on
+    # every attempt, not only the first
     if not hasattr(sys, "set_int_max_str_digits"):
         pytest.skip("this Python has no int-to-str digit limit")
     old = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
     try:
-        for r, f in ((Fraction(1, 2531), "tan2"), (Fraction(5, 10996), "cos"),
-                     (Fraction(-7, 5998) + 3, "tan")):
-            cert = certify(r, f)
+        for f in FUNCTIONS:
+            cert = certify(Fraction(1, 10**5000 + 1), f)
+            assert cert.steps == (ChainStep(0), PolyStep(10**5000 + 1))
+            step = cert.steps[1]
             for _ in range(2):
                 with pytest.raises(ValueError):
                     to_json(cert)
-            assert "_json" not in vars(cert.steps[1])
+                with pytest.raises(ValueError):
+                    step._json
+            assert "_json" not in vars(step)
     finally:
         sys.set_int_max_str_digits(old)
 
@@ -900,11 +908,40 @@ def test_version_2_certificates_are_rejected():
     }
     res = verify_certificate_json(json.dumps(v2))
     assert res.reason == "certificate: unsupported version 2"
-    # the same certificate in version 3
-    v3 = {**v2, "version": 3,
-          "steps": [{"type": "chain", "doublings": "1"}, v2["steps"][3]]}
-    assert from_json(json.dumps(v3)) == certify(Fraction(1, 10), "cos")
-    assert verify_certificate_json(json.dumps(v3)).ok
+    # the same certificate in version 4
+    v4 = {**v2, "version": 4,
+          "steps": [{"type": "chain", "doublings": "1"}, {"type": "poly", "q": "5"}]}
+    assert from_json(json.dumps(v4)) == certify(Fraction(1, 10), "cos")
+    assert verify_certificate_json(json.dumps(v4)).ok
+
+
+def test_version_3_certificates_are_rejected():
+    v3 = {
+        "version": 3,
+        "input": "1/10",
+        "function": "cos",
+        "verdict": {"kind": "irrational"},
+        "steps": [
+            {"type": "chain", "doublings": "1"},
+            {"type": "poly", "q": "5", "exclusions": [
+                {"candidate": "1", "method": "nonroot", "Q_value": "-4"},
+                {"candidate": "5", "method": "nonroot", "Q_value": "-20"}]},
+        ],
+    }
+    res = verify_certificate_json(json.dumps(v3))
+    assert res.reason == "certificate: unsupported version 3"
+    with pytest.raises(CertificateFormatError, match="unsupported version 3"):
+        from_json(json.dumps(v3))
+    # version 4 drops the exclusions, and only them
+    v4 = copy.deepcopy(v3)
+    v4["version"] = 4
+    del v4["steps"][1]["exclusions"]
+    assert from_json(json.dumps(v4)) == certify(Fraction(1, 10), "cos")
+    assert verify_certificate_json(json.dumps(v4)).ok
+    # a version-3 poly step inside a version-4 certificate is a format error
+    v4["steps"][1]["exclusions"] = v3["steps"][1]["exclusions"]
+    res = verify_certificate_json(json.dumps(v4))
+    assert res.reason.startswith("steps[1]: fields must be exactly ['q', 'type']")
 
 
 @settings(max_examples=300, deadline=None, database=None)
@@ -937,6 +974,23 @@ def test_doublings_round_trip_and_bind(a, q, k, shift, sign, f):
             s["doublings"] = str(wrong)
             res = verify_certificate_json(json.dumps(tree))
             assert res.reason == "chain length mismatch", (r, f, wrong)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    num=st.integers(-10**12, 10**12),
+    q=st.integers(0, 10**12 // 2 - 1).map(lambda i: 2 * i + 1),
+    k=st.integers(0, 64),
+    f=st.sampled_from(FUNCTIONS),
+)
+def test_large_odd_parts_certify_and_verify(num, q, k, f):
+    # odd parts up to 10^12: certify factors nothing and evaluates no
+    # polynomial, so any of them round-trips and verifies at once
+    r = Fraction(num, q << k)
+    cert = certify(r, f)
+    assert cert.verdict == classify(r, f)
+    res = verify_certificate_json(to_json(cert))
+    assert res.ok, (r, f, res.reason)
 
 
 def test_long_chain_certificates_stay_small():

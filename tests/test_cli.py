@@ -92,24 +92,6 @@ def test_usage_errors(capsys):
         assert "error:" in capsys.readouterr().err
 
 
-def test_unwritable_certificate_exits_1(capsys):
-    # at Python's default int-to-str digit limit the Q_value at the candidate
-    # 4999 (30,701 bits) cannot be written: a failed run, not a usage error;
-    # argument errors keep exit 2 (test_usage_errors, test_poly_command, ...)
-    if not hasattr(sys, "set_int_max_str_digits"):
-        pytest.skip("this Python has no int-to-str digit limit")
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
-    try:
-        for argv in (["certify", "1/4999"], ["certify", "1/4999", "--verify"]):
-            assert run(argv) == 1, argv
-            out, err = capsys.readouterr()
-            assert out == ""
-            assert err.startswith("error: Exceeds the limit (4300 digits)")
-    finally:
-        sys.set_int_max_str_digits(old)
-
-
 def test_poly_command(capsys):
     assert run(["poly", "7"]) == 0
     assert capsys.readouterr().out == "[-7, 35, -21, 1]\n"
@@ -168,14 +150,14 @@ def test_verify_command_with_files(tmp_path, capsys):
     assert run(["verify", str(cert_path)]) == 0
     assert capsys.readouterr().out == "pass\n"
 
-    # corrupt one digit of the exact value at the candidate 1
+    # name another odd part in the poly step
     text = cert_path.read_text(encoding="utf-8")
-    tampered = text.replace('"128"', '"129"')
+    tampered = text.replace('"q": "15"', '"q": "17"')
     assert tampered != text
     bad_path = tmp_path / "bad.json"
     bad_path.write_text(tampered, encoding="utf-8")
     assert run(["verify", str(bad_path)]) == 1
-    assert capsys.readouterr().out.startswith("fail:")
+    assert capsys.readouterr().out == "fail: odd part mismatch\n"
 
     assert run(["verify", str(bad_path), "--json"]) == 1
     tree = json.loads(capsys.readouterr().out)
@@ -273,14 +255,15 @@ def test_certify_verify_pipe_subprocess():
     assert second.returncode == 0
     assert second.stdout == "pass\n"
 
-    # several functions and shapes through the same pipe; odd part 2527 is the
-    # largest whose Q_values still fit the int-to-str digit limit
+    # several functions and shapes through the same pipe, odd parts past
+    # 2,527 among them (the wire carries no polynomial values)
     for angle, function in [
         ("1/24", "tan2"),
         ("2/3", "cos"),
         ("1/6", "tan"),
         ("1/2527", "tan2"),
         ("5/10108", "cos"),
+        ("1/4999", "tan"),
     ]:
         cert = subprocess.run(
             _module_cmd("certify", angle, "--function", function),
@@ -296,6 +279,60 @@ def test_certify_verify_pipe_subprocess():
         )
         assert res.returncode == 0, res.stdout + res.stderr
         assert res.stdout == "pass\n"
+
+
+# A prime of 20 digits: trial division up to its square root, which a
+# candidate list of divisors needs, would take about 3 * 10^9 steps.
+_PRIME = 10**19 + 51
+# Each hostile case finishes in well under a second; a version that factors
+# q or raises (1 + sqrt(-c)) to the q-th power is still busy at this bound.
+_BOUND_S = 5
+
+
+def _bounded(*args, stdin=""):
+    return subprocess.run(
+        _module_cmd(*args), input=stdin, capture_output=True, text=True, timeout=_BOUND_S
+    )
+
+
+def test_large_prime_odd_part_certifies_and_verifies_in_bounded_time():
+    cert = _bounded("certify", f"1/{_PRIME}")
+    assert cert.returncode == 0, cert.stderr
+    res = _bounded("verify", stdin=cert.stdout)
+    assert (res.returncode, res.stdout) == (0, "pass\n")
+
+
+def test_forged_certificate_for_a_large_prime_is_answered_in_bounded_time():
+    # the 1/5 certificate with its input and odd part changed to the prime:
+    # in version 3 it listed the divisors of q, which the verifier recomputed
+    v3 = {
+        "version": 3, "input": f"1/{_PRIME}", "function": "tan2",
+        "verdict": {"kind": "irrational"},
+        "steps": [
+            {"type": "chain", "doublings": "0"},
+            {"type": "poly", "q": str(_PRIME), "exclusions": [
+                {"candidate": "1", "method": "nonroot", "Q_value": "-4"},
+                {"candidate": "5", "method": "nonroot", "Q_value": "-20"}]},
+        ],
+    }
+    res = _bounded("verify", stdin=json.dumps(v3))
+    assert (res.returncode, res.stdout) == (1, "fail: certificate: unsupported version 3\n")
+    v4 = {**v3, "version": 4, "steps": [v3["steps"][0], {"type": "poly", "q": str(_PRIME)}]}
+    res = _bounded("verify", stdin=json.dumps(v4))
+    assert (res.returncode, res.stdout) == (0, "pass\n")
+    v4["steps"][1]["q"] = str(_PRIME + 2)
+    res = _bounded("verify", stdin=json.dumps(v4))
+    assert (res.returncode, res.stdout) == (1, "fail: odd part mismatch\n")
+
+
+def test_certify_of_a_seven_digit_prime_is_bounded():
+    # the value of p_q at a candidate c has about q log2(c) / 2 bits: 10^7
+    # bits here, held in memory, had the certificate carried it
+    cert = _bounded("certify", "1/1000003", "--verify")
+    assert cert.returncode == 0, cert.stderr
+    assert len(cert.stdout) < 200
+    res = _bounded("verify", stdin=cert.stdout)
+    assert (res.returncode, res.stdout) == (0, "pass\n")
 
 
 def _program_imports(*args):
@@ -321,6 +358,8 @@ def test_generator_commands_start_without_dataclasses():
     for modules in (certify, scan):
         assert not modules & {"dataclasses", "inspect"}, modules
     assert "trig_rational.highprec" not in scan, scan
+    # the poly step rests on the doubling lemma: certify evaluates no polynomial
+    assert "trig_rational.polynomial" not in certify, certify
     assert "trig_rational.highprec" in _program_imports("scan", "--max-den", "3", "--crosscheck")
 
 
@@ -473,6 +512,59 @@ def test_scan_reaps_workers_when_its_own_stripe_raises(monkeypatch):
     with _time_limit(30), pytest.raises(Boom):
         run(["scan", "--max-den", "40", "--jobs", "4"])
     _assert_no_children()
+
+
+def _running(pid):
+    """Whether pid is a live process; a zombie that nobody reaps counts as gone."""
+    if not os.path.isdir("/proc"):
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            state = fh.read().rpartition(")")[2].split()[0]
+    except FileNotFoundError:
+        return False
+    return state not in ("Z", "X")
+
+
+def test_scan_child_leaves_when_the_scan_process_is_killed():
+    # the scan process announces its child's pid and is then SIGKILLed, as a
+    # timeout would; the child, deep in a stripe that would take hours,
+    # notices between denominators that its parent is gone
+    code = """
+import os
+from trig_rational import cli
+
+os.cpu_count = lambda: 2
+fork = os.fork
+
+def announcing_fork():
+    pid = fork()
+    if pid:
+        print(pid, flush=True)
+    return pid
+
+os.fork = announcing_fork
+cli.run(["scan", "--max-den", "1000000", "--jobs", "2"])
+"""
+    scan = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE, text=True)
+    try:
+        child = int(scan.stdout.readline())
+        time.sleep(0.5)  # both stripes under way
+    finally:
+        scan.kill()
+        scan.wait()
+        scan.stdout.close()
+    deadline = time.monotonic() + 20
+    while _running(child) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    gone = not _running(child)
+    if not gone:
+        os.kill(child, signal.SIGKILL)
+    assert gone, "the scan child outlived its scan process"
 
 
 def test_scan_failures_print_in_order_for_every_jobs(capsys, monkeypatch):

@@ -4,6 +4,7 @@ import concurrent.futures
 import hashlib
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -404,13 +405,15 @@ def _oracle_crosscheck(r, f, verdict, bits):
         if f == "tan":
             return iv.lo <= v * v <= iv.hi and (v == 0 or (v > 0) == (red.sign > 0))
         return iv.lo <= v <= iv.hi
+    cap = max(MAX_BITS, 2 * red.n.bit_length() + 64)
     b = bits
-    while b <= MAX_BITS:
+    while True:
         iv = _oracle_interval(red, f, b)
         if all(v < iv.lo or v > iv.hi for v in _ORACLE_EXCEPTIONAL[f]):
             return True
-        b *= 2
-    return False
+        if b == cap:
+            return False
+        b = min(2 * b, cap)
 
 
 def _boundary_claims(r, f, bits):
@@ -457,6 +460,24 @@ def test_crosscheck_matches_fraction_oracle(n, d, f, bits):
         got = crosscheck(r, f, claim, bits)
         assert got == _oracle_crosscheck(r, f, claim, bits), claim
     assert crosscheck(r, f, classify(r, f), bits)
+
+
+def test_crosscheck_decides_on_large_inputs():
+    # tan^2(pi/n) is about 10/n^2 off the exceptional value 0, so these need
+    # about 2 bitlen(n) bits, past MAX_BITS for the first two: the refinement
+    # runs up to max(MAX_BITS, 2 bitlen(n) + 64) bits
+    start = time.perf_counter()
+    for r in (Fraction(1, 2**5000), Fraction(1, 3**1400), Fraction(1, 2**2051),
+              Fraction(1, 10**19 + 51), Fraction(1, 2) - Fraction(1, 2**3001)):
+        for f in FUNCTIONS:
+            for bits in (MIN_BITS, 128, MAX_BITS):
+                assert crosscheck(r, f, classify(r, f), bits), (r, f, bits)
+    # an irrational claim at an exceptional angle still fails, at the cap
+    for r in (Fraction(1, 4), Fraction(5, 3), Fraction(-13, 6)):
+        for f in FUNCTIONS:
+            if classify(r, f).kind == "exact":
+                assert not crosscheck(r, f, IRRATIONAL), (r, f)
+    assert time.perf_counter() - start < 10
 
 
 def test_crosscheck_agrees_with_classifier():

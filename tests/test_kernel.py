@@ -14,10 +14,10 @@ from hypothesis import given, settings, strategies as st
 import trig_rational
 from trig_rational import certifier, classifier, kernel
 from trig_rational.angle import PoleError
-from trig_rational.certifier import certificate_to_tree, certify, to_json, verify_certificate
-from trig_rational.exact_core import divisors, gcd
+from trig_rational.certifier import (
+    ChainStep, certificate_to_tree, certify, to_json, verify_certificate)
+from trig_rational.exact_core import gcd
 from trig_rational.highprec import eval_cos, eval_tan_squared
-from trig_rational.polynomial import tan_squared_poly_at
 
 # every module of the package that builds certificates, as opposed to checking them
 GENERATOR = ("certifier", "angle", "classifier", "polynomial", "highprec", "exact_core")
@@ -40,7 +40,7 @@ def test_kernel_imports_only_the_standard_library():
 
 def test_kernel_verifies_without_the_generator():
     good = to_json(certify(Fraction(1, 15)))
-    bad = good.replace('"128"', '"129"')
+    bad = good.replace('"q": "15"', '"q": "17"')
     assert bad != good
     code = f"""
 import sys
@@ -59,22 +59,28 @@ for line in sys.stdin:
     out = _python("-c", code, stdin=f"{good}\n{bad}\n").stdout
     assert out.splitlines() == [
         "VerificationResult(ok=True, reason='')",
-        "VerificationResult(ok=False, reason='exact evaluation mismatch')",
+        "VerificationResult(ok=False, reason='odd part mismatch')",
     ]
 
 
 def test_kernel_rejects_what_a_broken_generator_emits(monkeypatch):
-    # the generator's polynomial values are off by one; the kernel computes its own
-    real = certifier._poly_value_at
-    real.cache_clear()
-    certifier._tan2_steps.cache_clear()
-    monkeypatch.setattr(certifier, "_poly_value_at", lambda q, c: real(q, c) + 1)
-    try:
-        cert = certify(Fraction(1, 5))
-        assert [e.q_value for e in cert.steps[1].exclusions] == [-3, -19]
-        assert verify_certificate(cert).reason == "exact evaluation mismatch"
-    finally:
-        certifier._tan2_steps.cache_clear()  # drop the broken steps
+    # the generator's steps are off, in the odd part or in the chain; the
+    # kernel derives both from the input alone
+    real = certifier._tan2_steps
+    broken = [
+        (lambda chain, poly: (chain, poly.__replace__(q=poly.q + 2)), "odd part mismatch"),
+        (lambda chain, poly: (ChainStep(chain.doublings + 1), poly), "chain length mismatch"),
+    ]
+    for breaks, reason in broken:
+        def tan2_steps(n, breaks=breaks):
+            verdict, steps = real(n)
+            return verdict, breaks(*steps)
+
+        monkeypatch.setattr(certifier, "_tan2_steps", tan2_steps)
+        for r, f in ((Fraction(1, 5), "tan2"), (Fraction(3, 40), "cos"), (Fraction(7, 90), "tan")):
+            cert = certify(r, f)
+            assert cert.steps != real(r.denominator)[1]
+            assert verify_certificate(cert).reason == reason, (r, f)
 
 
 def test_verification_result_api():
@@ -118,10 +124,10 @@ def test_plain_forms_agree():
 
 def test_kernel_arithmetic_matches_the_library():
     assert kernel.FUNCTIONS == classifier.FUNCTIONS
-    for q in range(5, 600, 2):
-        assert list(kernel._divisors(q)) == divisors(q)
-        for c in divisors(q):
-            assert kernel._p_at(q, c) == tan_squared_poly_at(q, c)
+    # the kernel's base table is the classifier's, written out again
+    tan2 = {n: None if v.kind == "pole" else (v.value.numerator, v.value.denominator)
+            for n, v in classifier._TAN2_VERDICTS.items()}
+    assert kernel._TAN2 == tan2
 
 
 def test_base_table_matches_the_enclosures():
@@ -202,8 +208,8 @@ def test_doubling_halves_an_even_reduced_denominator():
 
 
 def test_doubling_keeps_integers_only_at_0_and_3():
-    # the fact a poly lemma with no candidates rests on, by integer
-    # divisibility only: T(c) = 4c/(c - 1)^2 and T(T(c)) are both integers,
+    # the core of fact 4, the doubling lemma the poly step rests on, by
+    # integer divisibility only: T(c) = 4c/(c - 1)^2 and T(T(c)) are both integers,
     # for an integer 0 <= c < 10^5 with c != 1, only at c = 0 and c = 3
     # (T(2) = 8, but T(8) = 32/49)
     both = []
