@@ -1,10 +1,11 @@
 """Machine-checkable certificates for the trig classification.
 
 A certificate spells out why tan^2(r*pi) (or tan, cos, cos^2) is a pole, an
-exact rational, or irrational, so that a verifier can re-check the claim
-with no trust in the classifier.  Everything follows from the reduced
-denominator n = 2^a * q (q odd) of the input, so each step carries only
-the parameters of its lemma:
+exact rational, or irrational.  certify takes the verdict from classify and
+adds the steps that prove it; the verifier re-derives the verdict from the
+input, so it trusts neither the classifier nor this module.  Everything
+follows from the reduced denominator n = 2^a * q (q odd) of the input, so
+each step carries only the parameters of its lemma:
 
   * base step: n is one of 1, 2, 3, 4, 6 and the value is the tabulated one.
   * chain step: the number of angle doublings from n down to the working
@@ -36,7 +37,10 @@ numbers and version drift.  Data the verifier derives from (input,
 function) anyway -- the chain's angles, the relations between the four
 functions, the quadratic's constants, the polynomial and its roots -- is
 not on the wire.  This module builds certificates, writes them, and
-maps them to and from the kernel's plain form.
+maps them to and from the kernel's plain form.  The step grammar is the
+kernel's table (kernel._STEP_KEYS): each step class names its wire tag,
+and its fields are that tag's wire keys, in order, so the plain form, the
+tree and the wire text of a step are all derived from (tag, fields).
 
 to_json writes by template: the envelope is formatted in sorted key order
 around each step's JSON text, which is rendered from the step's tree on the
@@ -53,9 +57,9 @@ import json
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .angle import _cos_fold, _tan_fold, odd_part
-from .classifier import _COS2_VERDICTS, _TAN2_VERDICTS, FUNCTIONS, IRRATIONAL, TrigVerdict
-from .exact_core import FrozenRecord, _store, as_fraction, gcd, rational_sqrt
+from .angle import odd_part
+from .classifier import _TAN2_VERDICTS, FUNCTIONS, TrigVerdict, classify
+from .exact_core import FrozenRecord, _store, as_fraction, gcd
 from .kernel import (
     WIRE_VERSION,
     CertificateFormatError,
@@ -94,6 +98,18 @@ __all__ = [
 
 
 class _Step(FrozenRecord):
+    """A proof step: _tag is its wire type, its fields are that type's wire keys."""
+
+    _tag: str
+
+    @cached_property
+    def _plain(self) -> tuple:
+        """The kernel's plain form: the tag, then the fields in wire order."""
+        return (self._tag, *[getattr(self, k) for k in self.__match_args__])
+
+    def _tree(self) -> dict:
+        return {"type": self._tag, **{k: str(getattr(self, k)) for k in self.__match_args__}}
+
     @cached_property
     def _json(self) -> str:
         """The step's wire text, rendered by to_json on first use and kept.
@@ -101,11 +117,13 @@ class _Step(FrozenRecord):
         A render that raises (a number past the int-to-str digit limit) is
         not kept, so the next to_json raises too.
         """
-        return json.dumps(_STEP_TREE[type(self)](self), sort_keys=True)
+        return json.dumps(self._tree(), sort_keys=True)
 
 
 class BaseStep(_Step):
     """The reduced denominator is in {1, 2, 3, 4, 6}: tan^2 is tabulated."""
+
+    _tag = "base"
 
 
 class ChainStep(_Step):
@@ -114,6 +132,7 @@ class ChainStep(_Step):
     The stop is the working denominator: the odd part q, or 8 or 12.
     """
 
+    _tag = "chain"
     __match_args__ = ("doublings",)
     doublings: int
 
@@ -155,6 +174,7 @@ class PolyStep(_Step):
     neither is tan^2 at denominator q.
     """
 
+    _tag = "poly"
     __match_args__ = ("q",)
     q: int
 
@@ -170,6 +190,7 @@ class BackwardQuadraticStep(_Step):
     not a perfect square.
     """
 
+    _tag = "backward_quadratic"
     __match_args__ = ("den",)
     den: int
 
@@ -179,6 +200,8 @@ class BackwardQuadraticStep(_Step):
 
 class SqrtStep(_Step):
     """The certified function's square is rational, but has no rational root."""
+
+    _tag = "sqrt_step"
 
 
 CertStep = BaseStep | ChainStep | PolyStep | BackwardQuadraticStep | SqrtStep
@@ -211,46 +234,32 @@ _SQRT = SqrtStep()  # one instance, so its wire text is rendered once
 
 
 def certify(r: Fraction | int, function: str = "tan2") -> Certificate:
-    """Build a certificate for the verdict on function(r * pi)."""
+    """Build a certificate for classify's verdict on function(r * pi).
+
+    An irrational verdict at a base denominator (tan or cos) is the root of
+    a rational square, so the square-root marker follows the base step.
+    """
     r = as_fraction(r)
-    if function not in FUNCTIONS:
-        raise ValueError(f"unknown function {function!r}")
-    _, n, sign = _tan_fold(r)
-    t_verdict, steps = _tan2_steps(n)
-    if function == "tan2":
-        return Certificate(r, function, t_verdict, steps)
-    if function == "cos2":
-        return Certificate(r, function, _COS2_VERDICTS.get(n, IRRATIONAL), steps)
-    # tan and cos are signed square roots of tan^2 and cos^2
-    if function == "tan":
-        squared = t_verdict
-    else:
-        d, m = _cos_fold(r)
-        squared, sign = _COS2_VERDICTS.get(n, IRRATIONAL), -1 if 2 * d > m else 1
-    if squared.kind != "exact":
-        return Certificate(r, function, squared, steps)
-    root = rational_sqrt(squared.value)
-    if root is None:
-        return Certificate(r, function, IRRATIONAL, steps + (_SQRT,))
-    return Certificate(r, function, TrigVerdict.exact(sign * root), steps)
+    verdict = classify(r, function)
+    steps = _tan2_steps(r.denominator)
+    if verdict.kind == "irrational" and r.denominator in _TAN2_VERDICTS:
+        steps += (_SQRT,)
+    return Certificate(r, function, verdict, steps)
 
 
 @lru_cache(maxsize=1024)
-def _tan2_steps(n: int) -> tuple[TrigVerdict, tuple[CertStep, ...]]:
-    """The verdict on tan^2 at reduced denominator n, and the steps proving it.
-
-    Both depend on n alone, so they are memoised per n.
-    """
+def _tan2_steps(n: int) -> tuple[CertStep, ...]:
+    """The steps proving the tan^2 verdict at reduced denominator n, memoised per n."""
     if n in _TAN2_VERDICTS:
-        return _TAN2_VERDICTS[n], (BaseStep(),)
+        return (BaseStep(),)
     a, q = odd_part(n)
     if q >= 5:
-        return IRRATIONAL, (ChainStep(a), PolyStep(q))
+        return ChainStep(a), PolyStep(q)
     # odd part 1 or 3: stop at denominator 8 or 12, where doubling hits an
     # exact value and the double-angle preimage quadratic takes over
     if q == 1:
-        return IRRATIONAL, (ChainStep(a - 3), BackwardQuadraticStep(8))
-    return IRRATIONAL, (ChainStep(a - 2), BackwardQuadraticStep(12))
+        return ChainStep(a - 3), BackwardQuadraticStep(8)
+    return ChainStep(a - 2), BackwardQuadraticStep(12)
 
 
 def exclude_candidate(
@@ -297,24 +306,8 @@ def _plain(cert: Certificate) -> tuple:
     """The kernel's plain form of cert, as kernel.parse gives it for the wire tree."""
     r, v = cert.input, cert.verdict
     verdict = (v.kind,) if v.value is None else (v.kind, (v.value.numerator, v.value.denominator))
-    steps = tuple([_PLAIN_STEP[type(s)](s) for s in cert.steps])
+    steps = tuple([s._plain for s in cert.steps])
     return WIRE_VERSION, (r.numerator, r.denominator), cert.function, verdict, steps
-
-
-_PLAIN_STEP = {
-    BaseStep: lambda s: ("base",),
-    ChainStep: lambda s: ("chain", s.doublings),
-    PolyStep: lambda s: ("poly", s.q),
-    BackwardQuadraticStep: lambda s: ("backward_quadratic", s.den),
-    SqrtStep: lambda s: ("sqrt_step",),
-}
-_STEP_OF = {  # plain step -> step record
-    "base": BaseStep,
-    "chain": ChainStep,
-    "poly": PolyStep,
-    "backward_quadratic": BackwardQuadraticStep,
-    "sqrt_step": SqrtStep,
-}
 
 
 # ------------------------------------------------------------ wire --------
@@ -328,7 +321,7 @@ def certificate_to_tree(cert: Certificate) -> dict:
         "input": _rat(cert.input),
         "function": cert.function,
         "verdict": verdict_to_tree(cert.verdict),
-        "steps": [_STEP_TREE[type(s)](s) for s in cert.steps],
+        "steps": [s._tree() for s in cert.steps],
     }
 
 
@@ -341,15 +334,6 @@ def _rat(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-_STEP_TREE = {
-    BaseStep: lambda s: {"type": "base"},
-    ChainStep: lambda s: {"type": "chain", "doublings": str(s.doublings)},
-    PolyStep: lambda s: {"type": "poly", "q": str(s.q)},
-    BackwardQuadraticStep: lambda s: {"type": "backward_quadratic", "den": str(s.den)},
-    SqrtStep: lambda s: {"type": "sqrt_step"},
-}
-
-
 def certificate_from_tree(tree: object) -> Certificate:
     """Strict inverse of certificate_to_tree; raises CertificateFormatError.
 
@@ -360,7 +344,12 @@ def certificate_from_tree(tree: object) -> Certificate:
     kind, *value = verdict
     return Certificate(
         Fraction(num, den), function, TrigVerdict(kind, *(Fraction(*v) for v in value)),
-        tuple(_STEP_OF[s[0]](*s[1:]) for s in steps))
+        tuple([_step(*s) for s in steps]))
+
+
+def _step(tag: str, *fields: int) -> CertStep:
+    """The step record of a plain step."""
+    return next(cls for cls in CertStep.__args__ if cls._tag == tag)(*fields)
 
 
 def to_json(cert: Certificate, indent: int | None = None) -> str:

@@ -29,11 +29,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 from .angle import PoleError, ReducedAngle, _cos_fold, _tan_fold
 from .classifier import TrigVerdict
 from .exact_core import FrozenRecord, _store, as_fraction
-from .polynomial import IntPolynomial
+
+if TYPE_CHECKING:  # annotations only: the cross-check builds no polynomial
+    from .polynomial import IntPolynomial
 
 __all__ = [
     "RatInterval",

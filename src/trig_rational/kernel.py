@@ -221,13 +221,10 @@ def _record(tag_key: str, variants: dict):
     return parse_record
 
 
-_STEP = _record("type", {
-    "base": [],
-    "chain": [("doublings", _int)],
-    "poly": [("q", _int)],
-    "backward_quadratic": [("den", _int)],
-    "sqrt_step": [],
-})
+# the step grammar: each type's wire keys in plain-form order, every one an int
+_STEP_KEYS = {"base": (), "chain": ("doublings",), "poly": ("q",),
+              "backward_quadratic": ("den",), "sqrt_step": ()}
+_STEP = _record("type", {tag: [(k, _int) for k in keys] for tag, keys in _STEP_KEYS.items()})
 _VERDICT = _record("kind", {"exact": [("value", _rat)], "pole": [], "irrational": []})
 _CERTIFICATE = _record("version", {WIRE_VERSION: [
     ("input", _rat), ("function", _str), ("verdict", _VERDICT), ("steps", _list(_STEP)),

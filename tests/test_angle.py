@@ -125,7 +125,7 @@ def test_int_folds_match_reduced_angles(num, den, form, a, q, k1, k2):
     # the memoised proof equals a fresh one
     n = q << a
     r1, r2 = Fraction(2 * q * k1 + 1, n), Fraction(2 * q * k2 + 1, n)
-    fresh = certifier._tan2_steps.__wrapped__(_tan_fold(r1)[1])[1]
+    fresh = certifier._tan2_steps.__wrapped__(_tan_fold(r1)[1])
     for f in ("tan2", "tan", "cos2", "cos"):
         steps = certifier.certify(r1, f).steps
         assert steps == certifier.certify(r2, f).steps

@@ -226,6 +226,26 @@ def test_scan_with_crosscheck(capsys):
     assert "scanned 46 angles with denominator <= 12\n" in out
 
 
+def test_scan_catches_a_wrong_classifier(capsys, monkeypatch):
+    # certify proves classify's verdict, and the kernel derives the verdict
+    # from the input alone, so a wrong classifier fails the scan
+    from trig_rational import certifier
+    from trig_rational.certifier import verify_certificate
+    from trig_rational.classifier import TrigVerdict
+
+    classify = certifier.classify
+
+    def wrong(r, f):
+        return TrigVerdict.exact(3) if (r, f) == (Fraction(1, 5), "tan2") else classify(r, f)
+
+    monkeypatch.setattr(certifier, "classify", wrong)
+    assert verify_certificate(certify(Fraction(1, 5))).reason == "verdict not entailed"
+    assert run(["scan", "--max-den", "5"]) == 1
+    out = capsys.readouterr().out
+    assert "fail tan2 1/5: verdict not entailed\n" in out
+    assert out.endswith("failures: 1\n")
+
+
 def test_scan_usage_errors(capsys):
     assert run(["scan", "--max-den", "0"]) == 2
     capsys.readouterr()
@@ -360,7 +380,10 @@ def test_generator_commands_start_without_dataclasses():
     assert "trig_rational.highprec" not in scan, scan
     # the poly step rests on the doubling lemma: certify evaluates no polynomial
     assert "trig_rational.polynomial" not in certify, certify
-    assert "trig_rational.highprec" in _program_imports("scan", "--max-den", "3", "--crosscheck")
+    # the cross-check encloses values numerically and builds no polynomial
+    crosscheck = _program_imports("scan", "--max-den", "3", "--crosscheck")
+    assert "trig_rational.highprec" in crosscheck
+    assert "trig_rational.polynomial" not in crosscheck, crosscheck
 
 
 def test_scan_deterministic_across_jobs():

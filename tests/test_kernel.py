@@ -15,7 +15,8 @@ import trig_rational
 from trig_rational import certifier, classifier, kernel
 from trig_rational.angle import PoleError
 from trig_rational.certifier import (
-    ChainStep, certificate_to_tree, certify, to_json, verify_certificate)
+    BackwardQuadraticStep, BaseStep, ChainStep, PolyStep, SqrtStep, certificate_to_tree,
+    certify, to_json, verify_certificate)
 from trig_rational.exact_core import gcd
 from trig_rational.highprec import eval_cos, eval_tan_squared
 
@@ -73,13 +74,12 @@ def test_kernel_rejects_what_a_broken_generator_emits(monkeypatch):
     ]
     for breaks, reason in broken:
         def tan2_steps(n, breaks=breaks):
-            verdict, steps = real(n)
-            return verdict, breaks(*steps)
+            return breaks(*real(n))
 
         monkeypatch.setattr(certifier, "_tan2_steps", tan2_steps)
         for r, f in ((Fraction(1, 5), "tan2"), (Fraction(3, 40), "cos"), (Fraction(7, 90), "tan")):
             cert = certify(r, f)
-            assert cert.steps != real(r.denominator)[1]
+            assert cert.steps != real(r.denominator)
             assert verify_certificate(cert).reason == reason, (r, f)
 
 
@@ -106,6 +106,16 @@ def test_verification_result_api():
             delattr(good, name)
     assert (good.ok, good.reason) == (True, "")
     assert pickle.loads(pickle.dumps(bad)) == bad
+
+
+def test_step_records_match_the_kernel_grammar():
+    # the kernel's table is the step grammar: each record's tag is a wire
+    # type, and its fields are that type's wire keys, in order
+    steps = (BaseStep, ChainStep, PolyStep, BackwardQuadraticStep, SqrtStep)
+    assert set(certifier.CertStep.__args__) == set(steps)
+    assert {cls._tag for cls in steps} == kernel._STEP_KEYS.keys()
+    for cls in steps:
+        assert cls.__match_args__ == kernel._STEP_KEYS[cls._tag], cls
 
 
 def test_plain_forms_agree():
