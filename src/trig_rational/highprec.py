@@ -20,9 +20,11 @@ interval [(c-8)/G, (c+8)/G], so the width is exactly 2^-bits (within the
 2^(1-bits) contract) and enclosures at higher bit counts nest inside those
 at lower ones by construction.  The public evaluators return it as a
 RatInterval; `crosscheck` never builds one and compares values p/q with it
-by cross-multiplying integers.  Two bounded LRU caches hold the work: pi
-per scale, and the raw cos enclosure per angle folded into [0, 1/2] and
-bits, which cos negates and snaps per sign and tan^2 divides.
+by cross-multiplying integers, an irrational claim first on the coarsest
+enclosure that settles it.  Three bounded LRU caches hold the work: pi per
+scale; the raw cos enclosure per angle folded into [0, 1/2] and bits, which
+cos negates and snaps per sign and tan^2 divides; and the tan^2 centre per
+angle folded into [0, 1/2] and bits, which tan^2, tan and cos^2 share.
 """
 
 from __future__ import annotations
@@ -32,10 +34,10 @@ from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .angle import PoleError, ReducedAngle, _cos_fold, _tan_fold
-from .classifier import TrigVerdict
 from .exact_core import FrozenRecord, _store, as_fraction
 
-if TYPE_CHECKING:  # annotations only: the cross-check builds no polynomial
+if TYPE_CHECKING:  # annotations only: the cross-check builds no polynomial or verdict
+    from .classifier import TrigVerdict
     from .polynomial import IntPolynomial
 
 __all__ = [
@@ -185,9 +187,9 @@ def _published(centre: int, bits: int) -> RatInterval:
 
 # ------------------------------------------------------------ public ------
 
-# Entries in the cos cache.  A scan revisits an angle within its own
-# denominator, which this holds up to about 2000; the tan^2 of an even n
-# reads cos at n/2, which scan visits just before n.
+# Entries in the cos cache and in the tan^2 cache.  A scan revisits an angle
+# within its own denominator, which this holds up to about 2000; the tan^2 of
+# an even n reads cos at n/2, which scan visits just before n.
 _CACHE_SIZE = 1024
 
 
@@ -211,6 +213,7 @@ def eval_tan_squared(angle: ReducedAngle | Fraction | int, bits: int) -> RatInte
     return _published(_tan2_centre(d, n, bits), bits)
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def _tan2_centre(d: int, n: int, bits: int) -> int:
     # tan^2 x = (1 - c)/(1 + c) falls as c = cos 2x rises, so lo comes from
     # c_hi and hi from c_lo.  Near the pole 1 + c is about 5/n^2, so each
@@ -314,11 +317,12 @@ def eval_poly_at_tan_squared(
 
 # ---------------------------------------------------------- crosscheck ----
 
-# exceptional values as (numerator, denominator) pairs, denominator > 0
+# exceptional values of tan^2 as (numerator, denominator) pairs, denominator
+# > 0; cos^2 = 1/(1 + tan^2) takes 1, 1/2, 3/4 and 1/4 exactly where tan^2
+# takes these, and 0 only at the pole
 _EXCEPTIONAL_TAN2 = ((0, 1), (1, 1), (1, 3), (3, 1))
 # tan is rational iff tan^2 is 0 or 1
 _EXCEPTIONAL_TAN2_FOR_TAN = ((0, 1), (1, 1))
-_EXCEPTIONAL_COS2 = ((0, 1), (1, 1), (1, 2), (1, 4), (3, 4))
 _EXCEPTIONAL_COS = ((0, 1), (1, 1), (-1, 1), (1, 2), (-1, 2))
 
 
@@ -329,78 +333,81 @@ def crosscheck(
 
     `bits`, the starting precision, must lie in [MIN_BITS, MAX_BITS].  Pole
     claims are checked symbolically (only the exact reduced angle is the
-    pole).  Exact claims pass iff the claimed value lies in the enclosure.
-    Irrational claims pass once some refinement excludes every member of
-    the function's exceptional value set; the bits double up to
-    max(MAX_BITS, 2 bitlen(n) + 64) for the reduced denominator n, and the
-    last pass runs at that cap.
+    pole).  Exact claims pass iff the claimed value lies in the enclosure at
+    `bits`; cos^2 = 1/(1 + tan^2) falls as tan^2 rises, so a cos^2 claim p/q
+    is the tan^2 claim (q - p)/p, and fails when p <= 0.  Irrational claims
+    pass once some enclosure excludes every member of the function's
+    exceptional value set.  The first one tried is the coarse witness at
+    w0 = max(32, 2 bitlen(n) + 8) bits for the reduced denominator n, when
+    w0 < bits; then the bits run from `bits`, doubling up to
+    max(MAX_BITS, 2 bitlen(n) + 64), and the last pass runs at that cap.
 
-    The cap decides every irrational claim.  Each exceptional value is taken
-    only at angles d'/n' pi with n' in {1, 2, 3, 4, 6}, so a non-exceptional
-    angle d/n pi lies at least pi/(6 n) from each of them, and the function,
-    monotone on the folded range, differs from each exceptional value by
-    more than 1/(10 n^2).  The tightest case is cos near +-1, with a gap of
-    1 - cos(pi/(6 n)), about 1/(7 n^2).  The last enclosure's width,
-    2^-cap < 2^-64/n^2, is far below that, so the work grows with the
-    input's size, not its value.
+    The witness changes no answer, as the published enclosures nest for any
+    b' > b, not only when the bits double: at b, [c-8, c+8]/G with
+    G = 2^(b+4) holds x +- 7/G around the true value x, and at b' the
+    enclosure lies inside x +- 9/G', within x +- 4.5/G.  So what the witness
+    excludes, the enclosure at `bits` excludes too.  The flat floor of 32
+    gives tan^2 at n and cos at n/2 the same w0 for n < 4096, so they still
+    share one cos series.
+
+    w0 settles every true irrational claim, and the cap every claim.  Each
+    exceptional value is taken only at angles d'/n' pi with n' in
+    {1, 2, 3, 4, 6}, so a non-exceptional angle d/n pi lies at least
+    pi/(6 n) from each of them, and the function, monotone on the folded
+    range, differs from each exceptional value by more than 1/(10 n^2).
+    The tightest case is cos near +-1, with a gap of 1 - cos(pi/(6 n)),
+    about 1/(7 n^2).  The width at w0, 2^-w0 < 2^-8/n^2, is below that, so a
+    true irrational claim costs about 2 log2(n) bits, and the work grows
+    with the input's size, not its value.
     """
     _check_bits(bits)
+    kind = verdict.kind
     if function == "cos":
-        if verdict.kind == "pole":
+        if kind == "pole":
             return False
         d, n = _cos_fold(r)
-        return _check(_cos_centre, d, n, _outside, _EXCEPTIONAL_COS, verdict, bits)
-    if function not in ("tan2", "tan", "cos2"):
+        centre, values = _cos_centre, _EXCEPTIONAL_COS
+    elif function in ("tan2", "tan", "cos2"):
+        d, n, sign = _tan_fold(r)
+        if n == 2:
+            if function == "cos2":
+                return kind == "exact" and verdict.value == 0
+            return kind == "pole"
+        if kind == "pole":
+            return False
+        centre = _tan2_centre
+        values = _EXCEPTIONAL_TAN2_FOR_TAN if function == "tan" else _EXCEPTIONAL_TAN2
+    else:
         raise ValueError(f"unknown function {function!r}")
-    d, n, sign = _tan_fold(r)
-    if n == 2:
-        if function == "cos2":
-            return verdict.kind == "exact" and verdict.value == 0
-        return verdict.kind == "pole"
-    if verdict.kind == "pole":
-        return False
+    if kind != "exact":
+        return _excluded(centre, d, n, values, bits)
+    v = as_fraction(verdict.value)
+    p, q = v.numerator, v.denominator
     if function == "cos2":
-        values = _EXCEPTIONAL_COS2
-        return _check(_tan2_centre, d, n, _outside_cos2, values, verdict, bits)
-    values = _EXCEPTIONAL_TAN2
-    if function == "tan":
-        if verdict.kind == "exact":
-            v = verdict.value
-            if v != 0 and (v > 0) != (sign > 0):
-                return False
-            verdict = TrigVerdict.exact(v * v)
-        values = _EXCEPTIONAL_TAN2_FOR_TAN
-    return _check(_tan2_centre, d, n, _outside, values, verdict, bits)
+        if p <= 0:
+            return False
+        p, q = q - p, p
+    elif function == "tan":
+        if p != 0 and (p > 0) != (sign > 0):
+            return False
+        p, q = p * p, q * q
+    c, g = centre(d, n, bits), 1 << (bits + 4)
+    return (c - 8) * q <= p * g <= (c + 8) * q
 
 
-def _outside(p: int, q: int, c: int, g: int) -> bool:
-    """p/q (q > 0) lies outside [(c-8)/g, (c+8)/g]."""
-    return p * g < (c - 8) * q or p * g > (c + 8) * q
-
-
-def _outside_cos2(p: int, q: int, c: int, g: int) -> bool:
-    """p/q lies outside [g/(g+c+8), g/(g+c-8)], the cos^2 = 1/(1 + tan^2)
-    image of the tan^2 enclosure; c >= 0, so both denominators are positive."""
-    return p * (g + c + 8) < g * q or p * (g + c - 8) > g * q
-
-
-def _check(
-    centre, d: int, n: int, outside, values, verdict: TrigVerdict, bits: int
-) -> bool:
-    """Exact claims: the value lies in the enclosure at `bits`.  Irrational
-    claims: some enclosure, doubling the bits up to the cap
-    max(MAX_BITS, 2 bitlen(n) + 64) and ending at the cap, excludes every
-    exceptional value.  centre(d, n, b) gives the enclosure's grid centre."""
-    if verdict.kind == "exact":
-        v = as_fraction(verdict.value)
-        c, g = centre(d, n, bits), 1 << (bits + 4)
-        return not outside(v.numerator, v.denominator, c, g)
-    cap = max(MAX_BITS, 2 * n.bit_length() + 64)
-    b = bits
+def _excluded(centre, d: int, n: int, values, bits: int) -> bool:
+    """Some enclosure excludes every exceptional value: the coarse witness at
+    w0 = max(32, 2 bitlen(n) + 8) when w0 < bits, then the bits from `bits`,
+    doubling up to the cap max(MAX_BITS, 2 bitlen(n) + 64) and ending at it."""
+    b = min(max(32, 2 * n.bit_length() + 8), bits)
     while True:
         c, g = centre(d, n, b), 1 << (b + 4)
-        if all(outside(p, q, c, g) for p, q in values):
+        for p, q in values:
+            if (c - 8) * q <= p * g <= (c + 8) * q:
+                break
+        else:
             return True
+        cap = max(MAX_BITS, 2 * n.bit_length() + 64)
         if b == cap:
             return False
-        b = min(2 * b, cap)
+        b = bits if b < bits else min(2 * b, cap)

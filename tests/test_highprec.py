@@ -183,8 +183,12 @@ def test_cos_ties_round_after_negation():
 
 
 def test_enclosure_caches_are_bounded():
-    for cached in (highprec._cos_raw, highprec._pi_scaled):
-        assert cached.cache_info().maxsize is not None
+    cached = [f for f in vars(highprec).values() if hasattr(f, "cache_info")]
+    assert len(cached) == 3
+    for f in (highprec._cos_raw, highprec._tan2_centre, highprec._pi_scaled):
+        assert f in cached
+    for f in cached:
+        assert f.cache_info().maxsize is not None, f.__name__
 
 
 def test_enclosures_nest_as_bits_grow():
@@ -204,6 +208,23 @@ def test_enclosures_nest_as_bits_grow():
                 assert prev_t.lo <= t.lo and t.hi <= prev_t.hi
                 assert prev_c.lo <= c.lo and c.hi <= prev_c.hi
             prev_t, prev_c = t, c
+
+
+def test_coarse_enclosures_contain_the_fine_ones():
+    # the coarse witness rests on nesting from its w0 to any finer bits, not
+    # only to twice as many
+    for n in range(1, 61):
+        w0 = max(32, 2 * n.bit_length() + 8)
+        for d in range(n + 1):
+            if gcd(d, n) != 1:
+                continue
+            r = Fraction(d, n)
+            evals = [eval_cos] if n == 2 else [eval_cos, eval_tan_squared]
+            for evaluate in evals:
+                coarse = evaluate(r, w0)
+                for bits in (40, 64, 96, 128, 256):
+                    fine = evaluate(r, bits)
+                    assert coarse.lo <= fine.lo and fine.hi <= coarse.hi, (r, bits)
 
 
 def test_cos_and_tan_squared_agree():
@@ -460,6 +481,26 @@ def test_crosscheck_matches_fraction_oracle(n, d, f, bits):
         got = crosscheck(r, f, claim, bits)
         assert got == _oracle_crosscheck(r, f, claim, bits), claim
     assert crosscheck(r, f, classify(r, f), bits)
+
+
+def test_coarse_witness_changes_no_answer():
+    # an irrational claim is first tried on the enclosure at
+    # max(32, 2 bitlen(n) + 8) bits; the oracle has no such pass, so every
+    # answer must agree with it, at bits below, at and above that witness.
+    # d/n in [0, 1] covers every folded angle of all four functions; a cos
+    # series at 4096 bits takes milliseconds, so that run stops at n = 12
+    for n in range(1, 49):
+        for d in range(n + 1):
+            if gcd(d, n) != 1:
+                continue
+            r = Fraction(d, n)
+            for f in FUNCTIONS:
+                claims = [classify(r, f), IRRATIONAL, POLE]
+                claims += [TrigVerdict.exact(v) for v in _ORACLE_EXCEPTIONAL[f]]
+                for bits in (8, 32, 128, 4096) if n <= 12 else (8, 32, 128):
+                    for claim in claims:
+                        got = crosscheck(r, f, claim, bits)
+                        assert got == _oracle_crosscheck(r, f, claim, bits), (r, f, claim, bits)
 
 
 def test_crosscheck_decides_on_large_inputs():
