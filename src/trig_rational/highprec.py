@@ -20,7 +20,7 @@ interval [(c-8)/G, (c+8)/G], so the width is exactly 2^-bits (within the
 2^(1-bits) contract) and enclosures at higher bit counts nest inside those
 at lower ones by construction.  The public evaluators return it as a
 RatInterval; `crosscheck` never builds one and compares values p/q with it
-by cross-multiplying integers, an irrational claim first on the coarsest
+by cross-multiplying integers, an irrational claim on the coarsest
 enclosure that settles it.  Three bounded LRU caches hold the work: pi per
 scale; the raw cos enclosure per angle folded into [0, 1/2] and bits, which
 cos negates and snaps per sign and tan^2 divides; and the tan^2 centre per
@@ -331,34 +331,31 @@ def crosscheck(
 ) -> bool:
     """Check a claimed verdict against certified numerics.
 
-    `bits`, the starting precision, must lie in [MIN_BITS, MAX_BITS].  Pole
-    claims are checked symbolically (only the exact reduced angle is the
-    pole).  Exact claims pass iff the claimed value lies in the enclosure at
-    `bits`; cos^2 = 1/(1 + tan^2) falls as tan^2 rises, so a cos^2 claim p/q
-    is the tan^2 claim (q - p)/p, and fails when p <= 0.  Irrational claims
-    pass once some enclosure excludes every member of the function's
-    exceptional value set.  The first one tried is the coarse witness at
-    w0 = max(32, 2 bitlen(n) + 8) bits for the reduced denominator n, when
-    w0 < bits; then the bits run from `bits`, doubling up to
-    max(MAX_BITS, 2 bitlen(n) + 64), and the last pass runs at that cap.
+    `bits`, the precision of exact claims, must lie in [MIN_BITS,
+    MAX_BITS].  Pole claims are checked symbolically (only the exact reduced
+    angle is the pole).  Exact claims pass iff the claimed value lies in the
+    enclosure at `bits`; cos^2 = 1/(1 + tan^2) falls as tan^2 rises, so a
+    cos^2 claim p/q is the tan^2 claim (q - p)/p, and fails when p <= 0.
+    Irrational claims pass iff the enclosure at w0 = max(32, 2 bitlen(n) + 8)
+    bits, for the reduced denominator n and whatever `bits` is, excludes
+    every member of the function's exceptional value set.
 
-    The witness changes no answer, as the published enclosures nest for any
-    b' > b, not only when the bits double: at b, [c-8, c+8]/G with
-    G = 2^(b+4) holds x +- 7/G around the true value x, and at b' the
-    enclosure lies inside x +- 9/G', within x +- 4.5/G.  So what the witness
-    excludes, the enclosure at `bits` excludes too.  The flat floor of 32
-    gives tan^2 at n and cos at n/2 the same w0 for n < 4096, so they still
-    share one cos series.
-
-    w0 settles every true irrational claim, and the cap every claim.  Each
-    exceptional value is taken only at angles d'/n' pi with n' in
-    {1, 2, 3, 4, 6}, so a non-exceptional angle d/n pi lies at least
-    pi/(6 n) from each of them, and the function, monotone on the folded
-    range, differs from each exceptional value by more than 1/(10 n^2).
-    The tightest case is cos near +-1, with a gap of 1 - cos(pi/(6 n)),
-    about 1/(7 n^2).  The width at w0, 2^-w0 < 2^-8/n^2, is below that, so a
-    true irrational claim costs about 2 log2(n) bits, and the work grows
-    with the input's size, not its value.
+    That one test decides the claim.  An exceptional value the function
+    takes lies in every enclosure, so a wrong irrational claim fails at any
+    bits.  Otherwise each exceptional value is taken only at angles
+    d'/n' pi with n' in {1, 2, 3, 4, 6}, so a non-exceptional angle d/n pi
+    lies at least pi/(6 n) from each of them, and the function, monotone on
+    the folded range, differs from each exceptional value by more than
+    1/(10 n^2).  The tightest case is cos near +-1, with a gap of
+    1 - cos(pi/(6 n)), about 1/(7 n^2).  The width at w0,
+    2^-w0 < 2^-8/n^2, is below that, so a true irrational claim costs about
+    2 log2(n) bits, and the work grows with the input's size, not its
+    value.  Since the published enclosures nest for any b' > b (at b,
+    [c-8, c+8]/G with G = 2^(b+4) holds x +- 7/G around the true value x,
+    and at b' the enclosure lies inside x +- 9/G', within x +- 4.5/G), a
+    refinement from `bits` upwards would reach the same answer.  The flat
+    floor of 32 gives tan^2 at n and cos at n/2 the same w0 for n < 4096,
+    so they still share one cos series.
     """
     _check_bits(bits)
     kind = verdict.kind
@@ -380,7 +377,12 @@ def crosscheck(
     else:
         raise ValueError(f"unknown function {function!r}")
     if kind != "exact":
-        return _excluded(centre, d, n, values, bits)
+        b = max(32, 2 * n.bit_length() + 8)
+        c, g = centre(d, n, b), 1 << (b + 4)
+        for p, q in values:
+            if (c - 8) * q <= p * g <= (c + 8) * q:
+                return False
+        return True
     v = as_fraction(verdict.value)
     p, q = v.numerator, v.denominator
     if function == "cos2":
@@ -393,21 +395,3 @@ def crosscheck(
         p, q = p * p, q * q
     c, g = centre(d, n, bits), 1 << (bits + 4)
     return (c - 8) * q <= p * g <= (c + 8) * q
-
-
-def _excluded(centre, d: int, n: int, values, bits: int) -> bool:
-    """Some enclosure excludes every exceptional value: the coarse witness at
-    w0 = max(32, 2 bitlen(n) + 8) when w0 < bits, then the bits from `bits`,
-    doubling up to the cap max(MAX_BITS, 2 bitlen(n) + 64) and ending at it."""
-    b = min(max(32, 2 * n.bit_length() + 8), bits)
-    while True:
-        c, g = centre(d, n, b), 1 << (b + 4)
-        for p, q in values:
-            if (c - 8) * q <= p * g <= (c + 8) * q:
-                break
-        else:
-            return True
-        cap = max(MAX_BITS, 2 * n.bit_length() + 64)
-        if b == cap:
-            return False
-        b = bits if b < bits else min(2 * b, cap)

@@ -367,8 +367,9 @@ def test_crosscheck_examples():
 
 
 def test_crosscheck_rejects_bits_outside_its_range():
-    # above MAX_BITS the refinement loop would never run, and a pole claim
-    # needs no enclosure at all: both are refused before any work
+    # bits outside [MIN_BITS, MAX_BITS] are refused before any work, also
+    # for an irrational claim, decided at its own w0, and for a pole claim,
+    # which needs no enclosure at all
     r = Fraction(1, 5)
     for bits in (MIN_BITS - 1, 3, 0, -8, MAX_BITS + 1, 5000):
         for f, claim in (
@@ -484,36 +485,40 @@ def test_crosscheck_matches_fraction_oracle(n, d, f, bits):
 
 
 def test_coarse_witness_changes_no_answer():
-    # an irrational claim is first tried on the enclosure at
-    # max(32, 2 bitlen(n) + 8) bits; the oracle has no such pass, so every
-    # answer must agree with it, at bits below, at and above that witness.
-    # d/n in [0, 1] covers every folded angle of all four functions; a cos
-    # series at 4096 bits takes milliseconds, so that run stops at n = 12
-    for n in range(1, 49):
-        for d in range(n + 1):
-            if gcd(d, n) != 1:
-                continue
-            r = Fraction(d, n)
-            for f in FUNCTIONS:
-                claims = [classify(r, f), IRRATIONAL, POLE]
-                claims += [TrigVerdict.exact(v) for v in _ORACLE_EXCEPTIONAL[f]]
-                for bits in (8, 32, 128, 4096) if n <= 12 else (8, 32, 128):
-                    for claim in claims:
-                        got = crosscheck(r, f, claim, bits)
-                        assert got == _oracle_crosscheck(r, f, claim, bits), (r, f, claim, bits)
+    # an irrational claim is decided on the enclosure at
+    # w0 = max(32, 2 bitlen(n) + 8) bits alone; the oracle refines from
+    # `bits` upwards, so every answer must agree with it, at bits below, at
+    # and above w0.  d/n in [0, 1] covers every folded angle of all four
+    # functions; a cos series at 4096 bits takes milliseconds, so that run
+    # stops at n = 12.  The angles with n >= 4096 have w0 = 2 bitlen(n) + 8,
+    # from 34 to 50 bits, past the flat floor of 32; near 0 and 1 at
+    # n = 2^20 + 1, 32 bits would not settle the claim.
+    angles = [Fraction(d, n) for n in range(1, 61) for d in range(n + 1) if gcd(d, n) == 1]
+    angles += [Fraction(1, 4097), Fraction(2047, 4100), Fraction(4095, 8191),
+               Fraction(5000, 16383), Fraction(1, 65537), Fraction(32767, 65535),
+               Fraction(1, 2**20 + 1), Fraction(2**20, 2**20 + 1)]
+    for r in angles:
+        n = r.denominator
+        for f in FUNCTIONS:
+            claims = [classify(r, f), IRRATIONAL, POLE]
+            claims += [TrigVerdict.exact(v) for v in _ORACLE_EXCEPTIONAL[f]]
+            for bits in (8, 32, 128, 4096) if n <= 12 else (8, 32, 128):
+                for claim in claims:
+                    got = crosscheck(r, f, claim, bits)
+                    assert got == _oracle_crosscheck(r, f, claim, bits), (r, f, claim, bits)
 
 
 def test_crosscheck_decides_on_large_inputs():
     # tan^2(pi/n) is about 10/n^2 off the exceptional value 0, so these need
-    # about 2 bitlen(n) bits, past MAX_BITS for the first two: the refinement
-    # runs up to max(MAX_BITS, 2 bitlen(n) + 64) bits
+    # about 2 bitlen(n) bits, past MAX_BITS for the first two: the claim is
+    # decided at w0 = 2 bitlen(n) + 8 bits, whatever `bits` is
     start = time.perf_counter()
     for r in (Fraction(1, 2**5000), Fraction(1, 3**1400), Fraction(1, 2**2051),
               Fraction(1, 10**19 + 51), Fraction(1, 2) - Fraction(1, 2**3001)):
         for f in FUNCTIONS:
             for bits in (MIN_BITS, 128, MAX_BITS):
                 assert crosscheck(r, f, classify(r, f), bits), (r, f, bits)
-    # an irrational claim at an exceptional angle still fails, at the cap
+    # an irrational claim at an exceptional angle fails at w0
     for r in (Fraction(1, 4), Fraction(5, 3), Fraction(-13, 6)):
         for f in FUNCTIONS:
             if classify(r, f).kind == "exact":
