@@ -9,12 +9,16 @@ numerically.
 
 Importing the package loads no submodule: each public name is imported from
 its module on first use (PEP 562), so a process that only verifies loads
-only the kernel.
+only the kernel.  FUNCTIONS is defined here, for the generator modules and
+the command line; the kernel keeps its own copy, so it imports nothing from
+the package.
 """
 
 from importlib import import_module
 
 __version__ = "0.1.0"
+
+FUNCTIONS = ("tan2", "tan", "cos2", "cos")
 
 # public name -> the submodule that defines it
 _EXPORTS = {
@@ -46,7 +50,6 @@ _EXPORTS = {
     ], "certifier"),
     "verify_certificate_json": "kernel",
     **dict.fromkeys([
-        "FUNCTIONS",
         "IRRATIONAL",
         "POLE",
         "TrigVerdict",
@@ -79,7 +82,7 @@ _EXPORTS = {
     ], "polynomial"),
 }
 
-__all__ = ["__version__", *_EXPORTS]
+__all__ = ["__version__", "FUNCTIONS", *_EXPORTS]
 
 
 def __getattr__(name: str) -> object:

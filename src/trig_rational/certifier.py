@@ -33,7 +33,10 @@ strict JSON: arbitrary-precision integers and rationals travel as decimal
 strings (rationals as "num/den" in lowest terms).  The verifier is the
 kernel (kernel.py), which parses and checks on plain ints and shares no
 code or cache with this module; it rejects unknown fields, non-canonical
-numbers and version drift.  Data the verifier derives from (input,
+numbers and version drift.  This module loads the kernel only when it
+verifies or parses, or when a re-exported kernel name is first read, so
+certify and to_json run without it; it keeps its own WIRE_VERSION, equal to
+the kernel's.  Data the verifier derives from (input,
 function) anyway -- the chain's angles, the relations between the four
 functions, the quadratic's constants, the polynomial and its roots -- is
 not on the wire.  This module builds certificates, writes them, and
@@ -57,18 +60,12 @@ import json
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
+from . import FUNCTIONS
 from .angle import odd_part
-from .classifier import _TAN2_VERDICTS, FUNCTIONS, TrigVerdict, classify
+from .classifier import _TAN2_VERDICTS, TrigVerdict, classify
 from .exact_core import FrozenRecord, _store, as_fraction, gcd
-from .kernel import (
-    WIRE_VERSION,
-    CertificateFormatError,
-    VerificationResult,
-    check,
-    loads,
-    parse,
-    verify_certificate_json,
-)
+
+WIRE_VERSION = 4  # the kernel's WIRE_VERSION, which a test pins it to
 
 __all__ = [
     "WIRE_VERSION",
@@ -289,6 +286,45 @@ def exclude_candidate(
     c = candidate.numerator
     value = tan_squared_poly_at(q, c)
     return Exclusion(c, "nonroot", q_value=value) if value else Exclusion(c, "angle")
+
+
+# ------------------------------------------------------ the kernel --------
+# Loaded on first use, so that certify and to_json run without it.
+
+
+def _from_kernel(name: str):
+    """A stand-in for kernel.<name> that loads the kernel on its first call.
+
+    That call binds the module global to the kernel's function, so later
+    calls go straight there and run no import statement.
+    """
+
+    def stub(*args):
+        from . import kernel
+
+        globals()[name] = fn = getattr(kernel, name)
+        return fn(*args)
+
+    return stub
+
+
+check = _from_kernel("check")
+loads = _from_kernel("loads")
+parse = _from_kernel("parse")
+
+
+def __getattr__(name: str) -> object:
+    """The kernel's names that this module re-exports, loaded on first use.
+
+    Every other missing name is an AttributeError: the import system probes
+    module attributes, and a catch-all would load the kernel on each probe.
+    """
+    if name not in ("CertificateFormatError", "VerificationResult", "verify_certificate_json"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import kernel
+
+    globals()[name] = value = getattr(kernel, name)
+    return value
 
 
 # ------------------------------------------- the kernel's plain form ------

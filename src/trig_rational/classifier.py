@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import FUNCTIONS
 from .angle import (
     ReducedAngle,
     _cos_fold,
@@ -31,9 +32,6 @@ __all__ = [
     "classify_cos_squared",
     "classify_cos",
 ]
-
-FUNCTIONS = ("tan2", "tan", "cos2", "cos")
-
 
 class TrigVerdict(FrozenRecord):
     """Pole, Exact(value), or Irrational."""

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import gc
 import io
 import json
 import math
@@ -16,9 +17,9 @@ from pathlib import Path
 
 import pytest
 
+from trig_rational import FUNCTIONS
 from trig_rational.certifier import certificate_to_tree, certify, to_json
 from trig_rational.cli import POLY_MAX_N, run
-from trig_rational.kernel import FUNCTIONS
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -384,6 +385,78 @@ def test_generator_commands_start_without_dataclasses():
     crosscheck = _program_imports("scan", "--max-den", "3", "--crosscheck")
     assert "trig_rational.highprec" in crosscheck
     assert "trig_rational.polynomial" not in crosscheck, crosscheck
+
+
+def test_generator_commands_load_no_kernel():
+    # the kernel checks certificates; certify and classify only make them
+    for args in (("certify", "1/15"), ("classify", "1/15")):
+        assert "trig_rational.kernel" not in _program_imports(*args), args
+
+
+def test_scan_loads_the_kernel_before_it_forks():
+    # else each stripe would compile the kernel on its first check
+    code = """
+import os, sys
+from trig_rational import cli
+seen, fork = [], os.fork
+def recording_fork():
+    seen.append("trig_rational.kernel" in sys.modules)
+    return fork()
+os.fork, os.cpu_count = recording_fork, lambda: 2
+status = cli.run(["scan", "--max-den", "9", "--jobs", "2"])
+print(status, seen)
+"""
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert res.stdout.endswith("failures: 0\n0 [True]\n"), res.stdout + res.stderr
+
+
+def test_run_leaves_the_collector_as_it_found_it(capsys):
+    # only main() freezes the collector; tests and library callers keep theirs
+    frozen = gc.get_freeze_count()
+    for argv, status in (
+        (["scan", "--max-den", "12"], 0),
+        (["certify", "1/15"], 0),
+        (["classify", "abc"], 2),
+    ):
+        assert run(argv) == status
+        assert gc.get_freeze_count() == frozen, argv
+    capsys.readouterr()
+
+
+# python -m trig_rational, with an atexit hook that reports whether main()
+# left the collector frozen when the process ended
+_MAIN_WITH_HOOK = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: print("frozen", gc.get_freeze_count() > 0, file=sys.stderr))
+runpy.run_module("trig_rational", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_main_freezes_the_collector_and_keeps_the_exit_codes():
+    cert = to_json(certify(Fraction(1, 15)))
+    forged = cert.replace('"q": "15"', '"q": "17"')
+    for args, stdin, status, out in (
+        (["certify", "1/15"], "", 0, cert + "\n"),
+        (["verify"], forged, 1, "fail: odd part mismatch\n"),
+        (["classify", "abc"], "", 2, ""),
+    ):
+        res = subprocess.run(
+            [sys.executable, "-c", _MAIN_WITH_HOOK, *args],
+            input=stdin, capture_output=True, text=True,
+        )
+        assert (res.returncode, res.stdout) == (status, out), args
+        assert res.stderr.endswith("frozen True\n"), args
+
+
+def test_scan_output_in_a_file_is_flushed_at_exit(tmp_path, capsys):
+    # a file is block-buffered, so this output is written at exit, after
+    # main() has frozen the collector
+    path = tmp_path / "scan.txt"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    with path.open("w") as fh:
+        subprocess.run(_module_cmd("scan", "--max-den", "300"), stdout=fh, env=env, check=True)
+    assert run(["scan", "--max-den", "300"]) == 0
+    assert path.read_text() == capsys.readouterr().out
 
 
 def test_scan_deterministic_across_jobs():
