@@ -2,10 +2,10 @@
 
 The library answers, in exact arithmetic, whether f(r * pi) is a pole, a
 rational number (and which one), or irrational, for rational r and
-f in {tan^2, tan, cos^2, cos}; it can emit a step-by-step certificate of
-the answer and independently verify such certificates.  Certified interval
-evaluation with exact rational endpoints cross-checks the verdicts
-numerically.
+f in {tan^2, tan, cos^2, cos}; it can emit a certificate of the answer,
+which states the claim, and independently verify it by deriving the verdict
+from the input's reduced denominator.  Certified interval evaluation with
+exact rational endpoints cross-checks the verdicts numerically.
 
 Importing the package loads no submodule: each public name is imported from
 its module on first use (PEP 562), so a process that only verifies loads

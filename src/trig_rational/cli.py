@@ -1,7 +1,8 @@
 """Command-line front end: classify, certify, verify, scan, poly.
 
-Exit codes: 0 success, 1 verification or cross-check failure or a scan
-worker that exited without its result, 2 usage error.
+Exit codes: 0 success, 1 verification or cross-check failure, a scan
+worker that exited without its result, or a stdout closed before the output
+was written, 2 usage error.
 `scan --jobs J` splits the odd parts q into J stripes, each taking q, 2q, 4q,
 ... in turn; the scan process loads the package once, forks J - 1 children
 that inherit it, runs one stripe itself and reads the others' results from
@@ -11,8 +12,12 @@ is gone leaves between denominators.  Its output is deterministic
 what it uses, so `verify` loads only the kernel, and `certify` and
 `classify` load no kernel.
 
-main() ends the process by SystemExit, so stdout is flushed and atexit
-hooks run as usual, but first it moves every tracked object into the
+main() flushes stdout itself, so that writing to a reader that has gone
+fails there and not at shutdown.  On that failure, in a print or in the
+flush, it points stdout at os.devnull, so that the output left in the buffer
+goes nowhere, prints the one line "error: stdout closed" on stderr and
+exits 1.  It ends the process by SystemExit, so atexit hooks run as usual,
+but first, on every path, it moves every tracked object into the
 collector's permanent generation (gc.freeze), which no collection walks,
 so the interpreter's full collections at shutdown have nothing to do.
 Those objects live until the process ends anyway; the only garbage among
@@ -355,6 +360,15 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    code = run()
-    gc.freeze()  # see the module docstring
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:  # see the module docstring
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: stdout closed", file=sys.stderr)
+        code = 1
+    finally:
+        gc.freeze()
     raise SystemExit(code)

@@ -2,16 +2,22 @@
 
 This module uses only the standard library and imports nothing else from the
 package, so a certificate can be checked without the code that made it.
-``parse`` turns a JSON tree of the version-4 wire format into a plain
-certificate, and ``check`` decides whether that certificate proves its
-verdict.  A plain certificate is the wire tree with every object a tuple, its
-tag first and its fields after it in wire order, and every number an int;
-rationals are (num, den) pairs in lowest terms with den >= 1:
+``parse`` turns a JSON tree of the version-5 wire format into a plain
+certificate, and ``check`` decides whether the verdict it claims is the one
+that facts 1-6 below give for its input and function.  A plain certificate is
+the wire tree with every object a tuple, its tag first and its fields after
+it in wire order, and every number an int; rationals are (num, den) pairs in
+lowest terms with den >= 1:
 
-    (4, (num, den), function, verdict, steps)
+    (5, (num, den), function, verdict)
     verdict    ("exact", (num, den)) | ("pole",) | ("irrational",)
-    step       ("base",) | ("chain", doublings) | ("poly", q)
-               | ("backward_quadratic", den) | ("sqrt_step",)
+
+A certificate is its claim.  The proof is a function of the input's reduced
+denominator n = 2^a * q (q odd) alone, so the checker derives it and nothing
+of it travels: n in the base table is fact 1; otherwise a doublings take n
+to q >= 5, where facts 4 and 5 apply, or a - 3 and a - 2 doublings take it
+to the stops 8 and 12, where fact 3's quadratic applies.  Either way tan^2 is
+irrational.  Facts 2 and 6 then give tan, cos^2 and cos.
 
 The checker trusts these facts and nothing else:
 
@@ -24,8 +30,10 @@ The checker trusts these facts and nothing else:
    cos^2 = 1/(1 + tan^2), with cos^2 = 0 at the pole of tan^2.
 3. The doubling map: doubling the angle takes T = tan^2 to 4T/(1 - T)^2 and
    halves an even reduced denominator, so a rational tan^2 stays rational
-   down the chain; a rational root of u x^2 - 2(u + 2v) x + u (the preimage
-   of D = u/v) needs a square discriminant.
+   down the chain, which no denominator 2 or 4 interrupts before a stop.  At
+   the stops 8 and 12 the doubled angle has tan^2 = D = u/v = 1 and 1/3, so
+   tan^2 at the stop is a root of u x^2 - 2(u + 2v) x + u, whose
+   discriminant 16 v (u + v) is 32 and 192: no square, so no rational root.
 4. The doubling lemma: for odd q >= 5 and gcd(k, q) = 1, s = tan^2(k pi/q)
    is irrational.  s is a root of the monic integer polynomial
    p_q(X) = sum_j (-1)^(m+j) C(q, 2j+1) X^j (q = 2m + 1), so by the rational
@@ -58,7 +66,7 @@ __all__ = [
     "verify_certificate_json",
 ]
 
-WIRE_VERSION = 4
+WIRE_VERSION = 5
 FUNCTIONS = ("tan2", "tan", "cos2", "cos")
 
 
@@ -127,7 +135,7 @@ def loads(text: str | bytes) -> object:
 def parse(tree: object) -> tuple:
     """The plain certificate of a wire tree; raises CertificateFormatError.
 
-    The message starts with a JSON path, such as steps[1].q.
+    The message starts with a JSON path, such as verdict.value.
     """
     try:
         cert = _CERTIFICATE(tree)
@@ -140,29 +148,18 @@ def parse(tree: object) -> tuple:
         raise CertificateFormatError(f"{where}: {msg}") from None
 
 
-# canonical numbers: no leading zeros, no -0, denominator >= 1, lowest terms
-_INT_RE = re.compile(r"0|-?[1-9][0-9]*")
+# canonical rationals: no leading zeros, no -0, denominator >= 1, lowest terms
 _RAT_RE = re.compile(r"(0|-?[1-9][0-9]*)/([1-9][0-9]*)")
-
-
-def _parse_int(digits: str) -> int:  # every wire number goes through here
-    try:
-        return int(digits)
-    except ValueError:  # over the interpreter's int-from-string digit limit
-        raise _Bad("too many digits") from None
-
-
-def _int(v: object) -> int:
-    if not isinstance(v, str) or not _INT_RE.fullmatch(v):
-        raise _Bad("expected a canonical integer string")
-    return _parse_int(v)
 
 
 def _rat(v: object) -> tuple[int, int]:
     m = _RAT_RE.fullmatch(v) if isinstance(v, str) else None
     if m is None:
         raise _Bad("expected a canonical num/den string")
-    num, den = _parse_int(m[1]), _parse_int(m[2])
+    try:
+        num, den = int(m[1]), int(m[2])
+    except ValueError:  # over the interpreter's int-from-string digit limit
+        raise _Bad("too many digits") from None
     if gcd(num, den) != 1:
         raise _Bad("not in lowest terms")
     return num, den
@@ -172,22 +169,6 @@ def _str(v: object) -> str:
     if not isinstance(v, str):
         raise _Bad("expected a string")
     return v
-
-
-def _list(item):
-    def parse_list(v: object) -> tuple:
-        if not isinstance(v, list):
-            raise _Bad("expected a list")
-        out = []
-        for i, x in enumerate(v):
-            try:
-                out.append(item(x))
-            except _Bad as e:
-                e.args += (f"[{i}]",)
-                raise
-        return tuple(out)
-
-    return parse_list
 
 
 def _record(tag_key: str, variants: dict):
@@ -221,58 +202,45 @@ def _record(tag_key: str, variants: dict):
     return parse_record
 
 
-# the step grammar: each type's wire keys in plain-form order, every one an int
-_STEP_KEYS = {"base": (), "chain": ("doublings",), "poly": ("q",),
-              "backward_quadratic": ("den",), "sqrt_step": ()}
-_STEP = _record("type", {tag: [(k, _int) for k in keys] for tag, keys in _STEP_KEYS.items()})
 _VERDICT = _record("kind", {"exact": [("value", _rat)], "pole": [], "irrational": []})
-_CERTIFICATE = _record("version", {WIRE_VERSION: [
-    ("input", _rat), ("function", _str), ("verdict", _VERDICT), ("steps", _list(_STEP)),
-]})
+_CERTIFICATE = _record("version", {
+    WIRE_VERSION: [("input", _rat), ("function", _str), ("verdict", _VERDICT)]})
 
 
 # ----------------------------------------------------------- checker ------
 
 
-class _Fail(Exception):
-    """args[0]: the reason."""
-
-
-_OK = VerificationResult(True)
+_OK, _NOT_ENTAILED = VerificationResult(True), VerificationResult(False, "verdict not entailed")
 _POLE, _IRRATIONAL = ("pole",), ("irrational",)
-_TAN2 = {1: (0, 1), 2: None, 3: (3, 1), 4: (1, 1), 6: (1, 3)}  # None: the pole
+# tan^2 at the base denominators (fact 1)
+_TAN2 = {1: ("exact", (0, 1)), 2: _POLE, 3: ("exact", (3, 1)), 4: ("exact", (1, 1)),
+         6: ("exact", (1, 3))}
 
 
 def check(cert: tuple) -> VerificationResult:
-    """Whether a plain certificate proves its verdict, with the first failure's reason.
+    """Whether a plain certificate claims the verdict that facts 1-6 give for its input.
 
-    From the input alone the checker recomputes the reduced denominator
-    n = 2^a * q and which steps that n calls for, and checks each step's
-    parameters against them: the number of doublings (a, a - 3 at stop 8,
-    a - 2 at stop 12), the odd part q, the quadratic's stop, and the
-    square-root marker, present exactly when the function's square is
-    rational with no rational root.  The poly step needs nothing more: the
-    doubling lemma (fact 4) covers every odd q >= 5.  The discriminant and
-    every square test are recomputed in exact arithmetic.
+    The verdict is derived from the input and the function alone, with the
+    square test in exact arithmetic; a certificate either claims it or fails
+    with the reason "verdict not entailed".
     """
-    _, (num, den), function, verdict, steps = cert
-    try:
-        entailed = _entailed(num, den, function, steps)
-    except _Fail as f:
-        return VerificationResult(False, f.args[0])
-    return _OK if entailed == verdict else VerificationResult(False, "verdict not entailed")
+    _, (num, den), function, verdict = cert
+    return _OK if _entailed(num, den, function) == verdict else _NOT_ENTAILED
 
 
-def _entailed(num: int, den: int, function: str, steps: tuple) -> tuple:
-    # num/den is in lowest terms, so den is the reduced denominator of tan^2
+def _entailed(num: int, den: int, function: str) -> tuple:
+    # num/den is in lowest terms, so den is the reduced denominator of tan^2;
+    # every denominator outside the base table reaches an odd part q >= 5
+    # (facts 4 and 5) or a stop 8 or 12 (fact 3), so its tan^2 is irrational
+    tan2 = _TAN2.get(den, _IRRATIONAL)
     if function == "tan2":
-        return _tan2(den, steps)
+        return tan2
     if function == "cos2":
-        return _cos2(_tan2(den, steps))
+        return _cos2(tan2)
     if function == "tan":  # negative where num/den mod 1 lies past 1/2
-        return _root(den, steps, None, -1 if 2 * (num % den) > den else 1)
+        return _root(tan2, -1 if 2 * (num % den) > den else 1)
     t = num % (2 * den)  # negative where num/den folded into [0, 1] lies past 1/2
-    return _root(den, steps, _cos2, -1 if 2 * min(t, 2 * den - t) > den else 1)
+    return _root(_cos2(tan2), -1 if 2 * min(t, 2 * den - t) > den else 1)
 
 
 def _cos2(tan2: tuple) -> tuple:
@@ -284,58 +252,13 @@ def _cos2(tan2: tuple) -> tuple:
     return _IRRATIONAL
 
 
-def _tan2(n: int, steps: tuple) -> tuple:
-    """Check the tan^2 steps for reduced denominator n and return what they prove."""
-    if n in _TAN2:
-        if steps != (("base",),):
-            raise _Fail("expected a single base step")
-        value = _TAN2[n]
-        return _POLE if value is None else ("exact", value)
-    if len(steps) != 2 or steps[0][0] != "chain":
-        raise _Fail("expected a chain step and a concluding step")
-    (_, doublings), last = steps
-    q = n // (n & -n)
-    stop = q if q >= 5 else 8 if q == 1 else 12
-    # n is stop * 2^k (it is no base denominator), and k doublings reach stop
-    if doublings != (n // stop).bit_length() - 1:
-        raise _Fail("chain length mismatch")
-    if q >= 5:
-        if last[0] != "poly":
-            raise _Fail("expected a poly step")
-        if last[1] != q:  # facts 4 and 5 settle every odd q >= 5
-            raise _Fail("odd part mismatch")
-    else:
-        if last[0] != "backward_quadratic":
-            raise _Fail("expected a backward quadratic step")
-        if last[1] != stop:
-            raise _Fail("landing denominator mismatch")
-        u, v = _TAN2[stop // 2]
-        if _is_square(4 * (u + 2 * v) ** 2 - 4 * u * u):
-            raise _Fail("verdict not entailed")
-    return _IRRATIONAL
-
-
-def _root(n: int, steps: tuple, square_of, sign: int) -> tuple:
-    """Verdict on sign * sqrt(square_of(tan^2)), from the tan^2 steps and a marker.
-
-    square_of None means tan^2 itself.  A square that is not exact (a pole or
-    irrational) carries over unchanged.
-    """
-    has_sqrt = bool(steps) and steps[-1][0] == "sqrt_step"
-    squared = _tan2(n, steps[:-1] if has_sqrt else steps)
-    if square_of is not None:
-        squared = square_of(squared)
+def _root(squared: tuple, sign: int) -> tuple:
+    """Verdict on sign * sqrt(squared): a square that is not exact carries over."""
     if squared[0] != "exact":
-        if has_sqrt:
-            raise _Fail("square-root step without an exact square")
         return squared
     u, v = squared[1]
     if _is_square(u) and _is_square(v):
-        if has_sqrt:
-            raise _Fail("square-root step on a rational square root")
         return "exact", (sign * isqrt(u), isqrt(v))
-    if not has_sqrt:
-        raise _Fail("missing square-root step")
     return _IRRATIONAL
 
 

@@ -1,34 +1,42 @@
-"""Helpers that corrupt one numeric field of a certificate JSON tree.
+"""Helpers that corrupt the claim of a certificate JSON tree.
 
-A sound verifier must reject a certificate after any single number in it
-is changed.  Sites are collected only under the "verdict" and "steps"
-subtrees: the top-level input is excluded on purpose, because bumping its
-numerator by the denominator leaves the angle unchanged modulo pi, and the
-version field is a format concern rather than a mathematical one.
+A certificate is its claim, so a sound verifier must reject it once the
+verdict is anything but the true one.  wrong_verdicts swaps in every other
+verdict from a fixed set that holds the pole, irrational and each exact value
+the four functions take, with both signs, and adds the true value nudged by
+apply_mutation.  Numeric sites are collected only under "verdict": the input
+is excluded on purpose, because bumping its numerator by the denominator
+leaves the angle unchanged modulo pi, and the version field is a format
+concern rather than a mathematical one.
 
-Mutations are chosen to keep the wire format valid where possible, so a
-failure exercises the mathematical checks and not just the parser:
-adding the denominator to the numerator of "a/b" preserves lowest terms
-(gcd(a + b, b) = gcd(a, b)), and integer strings never grow leading zeros.
+Mutations are chosen to keep the wire format valid, so a failure exercises
+the mathematical check and not just the parser: adding the denominator to
+the numerator of "a/b" preserves lowest terms (gcd(a + b, b) = gcd(a, b)).
 """
 
 import copy
 import re
+from fractions import Fraction
 
-_INT_RE = re.compile(r"-?[0-9]+\Z")
 _RAT_RE = re.compile(r"-?[0-9]+/[0-9]+\Z")
+
+# the exact values of tan^2, tan, cos^2 and cos at rational angles, both signs
+EXACT_VALUES = sorted({sign * Fraction(v) for v in ("0", "1", "3", "1/3", "1/4", "1/2", "3/4")
+                       for sign in (1, -1)})
+VERDICTS = [
+    {"kind": "pole"},
+    {"kind": "irrational"},
+    *({"kind": "exact", "value": f"{v.numerator}/{v.denominator}"} for v in EXACT_VALUES),
+]
 
 
 def mutation_sites(tree):
-    """All (path, kind) pairs for numeric leaves under verdict and steps.
+    """All (path, kind) pairs for numeric leaves under verdict.
 
-    kind is "int" for JSON integers (sign), "int_string" for decimal
-    integer strings, "rational_string" for "num/den" strings.  Nulls and
-    non-numeric strings (type tags, methods, relations) yield no site.
+    kind is "rational_string" for "num/den" strings; type tags yield no site.
     """
     sites = []
-    for key in ("verdict", "steps"):
-        _walk(tree[key], (key,), sites)
+    _walk(tree["verdict"], ("verdict",), sites)
     return sites
 
 
@@ -36,33 +44,27 @@ def _walk(node, path, sites):
     if isinstance(node, dict):
         for k in sorted(node):
             _walk(node[k], path + (k,), sites)
-    elif isinstance(node, list):
-        for i, v in enumerate(node):
-            _walk(v, path + (i,), sites)
-    elif isinstance(node, bool):
-        pass
-    elif isinstance(node, int):
-        sites.append((path, "int"))
-    elif isinstance(node, str):
-        if _INT_RE.match(node):
-            sites.append((path, "int_string"))
-        elif _RAT_RE.match(node):
-            sites.append((path, "rational_string"))
+    elif isinstance(node, str) and _RAT_RE.match(node):
+        sites.append((path, "rational_string"))
 
 
 def apply_mutation(tree, site):
     """A deep copy of tree with the leaf at site nudged to a nearby value."""
     out = copy.deepcopy(tree)
-    path, kind = site
+    path, _ = site
     node = out
     for k in path[:-1]:
         node = node[k]
-    leaf = node[path[-1]]
-    if kind == "int":
-        node[path[-1]] = leaf + 1
-    elif kind == "int_string":
-        node[path[-1]] = str(int(leaf) + 1)
-    else:
-        num, den = leaf.split("/")
-        node[path[-1]] = f"{int(num) + int(den)}/{den}"
+    num, den = node[path[-1]].split("/")
+    node[path[-1]] = f"{int(num) + int(den)}/{den}"
     return out
+
+
+def wrong_verdicts(tree):
+    """Copies of tree, one per other verdict in VERDICTS and per nudged value."""
+    claims = [v for v in VERDICTS if v != tree["verdict"]]
+    for site in mutation_sites(tree):
+        nudged = apply_mutation(tree, site)["verdict"]
+        if nudged not in claims:
+            claims.append(nudged)
+    return [{**tree, "verdict": v} for v in claims]

@@ -125,7 +125,7 @@ def test_certify_command(capsys):
     tree = json.loads(capsys.readouterr().out)
     assert tree["verdict"] == {"kind": "irrational"}
     assert tree["input"] == "1/15"
-    assert [s["type"] for s in tree["steps"]] == ["chain", "poly"]
+    assert tree.keys() == {"version", "input", "function", "verdict"}
 
     assert run(["certify", "3/4", "--function", "tan"]) == 0
     tree = json.loads(capsys.readouterr().out)
@@ -133,7 +133,7 @@ def test_certify_command(capsys):
 
     assert run(["certify", "1/6", "--function", "cos"]) == 0
     tree = json.loads(capsys.readouterr().out)
-    assert tree["steps"][-1]["type"] == "sqrt_step"
+    assert tree["verdict"] == {"kind": "irrational"}
 
     assert run(["certify", "3", "--function", "cos"]) == 0
     tree = json.loads(capsys.readouterr().out)
@@ -151,14 +151,14 @@ def test_verify_command_with_files(tmp_path, capsys):
     assert run(["verify", str(cert_path)]) == 0
     assert capsys.readouterr().out == "pass\n"
 
-    # name another odd part in the poly step
+    # claim the root 3 of the polynomial at 15
     text = cert_path.read_text(encoding="utf-8")
-    tampered = text.replace('"q": "15"', '"q": "17"')
+    tampered = text.replace('{"kind": "irrational"}', '{"kind": "exact", "value": "3/1"}')
     assert tampered != text
     bad_path = tmp_path / "bad.json"
     bad_path.write_text(tampered, encoding="utf-8")
     assert run(["verify", str(bad_path)]) == 1
-    assert capsys.readouterr().out == "fail: odd part mismatch\n"
+    assert capsys.readouterr().out == "fail: verdict not entailed\n"
 
     assert run(["verify", str(bad_path), "--json"]) == 1
     tree = json.loads(capsys.readouterr().out)
@@ -340,10 +340,15 @@ def test_forged_certificate_for_a_large_prime_is_answered_in_bounded_time():
     assert (res.returncode, res.stdout) == (1, "fail: certificate: unsupported version 3\n")
     v4 = {**v3, "version": 4, "steps": [v3["steps"][0], {"type": "poly", "q": str(_PRIME)}]}
     res = _bounded("verify", stdin=json.dumps(v4))
+    assert (res.returncode, res.stdout) == (1, "fail: certificate: unsupported version 4\n")
+    # in version 5 the claim is the certificate: irrational passes, and the
+    # root 3 of p_q (not one here, as 3 does not divide the prime) fails
+    v5 = {k: v for k, v in v3.items() if k != "steps"} | {"version": 5}
+    res = _bounded("verify", stdin=json.dumps(v5))
     assert (res.returncode, res.stdout) == (0, "pass\n")
-    v4["steps"][1]["q"] = str(_PRIME + 2)
-    res = _bounded("verify", stdin=json.dumps(v4))
-    assert (res.returncode, res.stdout) == (1, "fail: odd part mismatch\n")
+    v5["verdict"] = {"kind": "exact", "value": "3/1"}
+    res = _bounded("verify", stdin=json.dumps(v5))
+    assert (res.returncode, res.stdout) == (1, "fail: verdict not entailed\n")
 
 
 def test_certify_of_a_seven_digit_prime_is_bounded():
@@ -379,7 +384,7 @@ def test_generator_commands_start_without_dataclasses():
     for modules in (certify, scan):
         assert not modules & {"dataclasses", "inspect"}, modules
     assert "trig_rational.highprec" not in scan, scan
-    # the poly step rests on the doubling lemma: certify evaluates no polynomial
+    # the doubling lemma needs no polynomial: certify evaluates none
     assert "trig_rational.polynomial" not in certify, certify
     # the cross-check encloses values numerically and builds no polynomial
     crosscheck = _program_imports("scan", "--max-den", "3", "--crosscheck")
@@ -434,10 +439,10 @@ runpy.run_module("trig_rational", run_name="__main__", alter_sys=True)
 
 def test_main_freezes_the_collector_and_keeps_the_exit_codes():
     cert = to_json(certify(Fraction(1, 15)))
-    forged = cert.replace('"q": "15"', '"q": "17"')
+    forged = cert.replace('{"kind": "irrational"}', '{"kind": "exact", "value": "3/1"}')
     for args, stdin, status, out in (
         (["certify", "1/15"], "", 0, cert + "\n"),
-        (["verify"], forged, 1, "fail: odd part mismatch\n"),
+        (["verify"], forged, 1, "fail: verdict not entailed\n"),
         (["classify", "abc"], "", 2, ""),
     ):
         res = subprocess.run(
@@ -446,6 +451,36 @@ def test_main_freezes_the_collector_and_keeps_the_exit_codes():
         )
         assert (res.returncode, res.stdout) == (status, out), args
         assert res.stderr.endswith("frozen True\n"), args
+
+
+def test_poly_into_a_closed_pipe_is_one_line_and_exit_1():
+    # poly 2001 | head -c 10: the output is larger than a pipe's buffer, so
+    # poly is still writing when its reader goes, and fails in print
+    with subprocess.Popen(
+        _module_cmd("poly", "2001"), stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    ) as proc:
+        assert proc.stdout.read(10) == b"[2001, -13"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        status = proc.wait(timeout=30)
+    assert (status, err) == (1, b"error: stdout closed\n")
+
+
+def test_scan_into_a_closed_pipe_is_one_line_and_exit_1():
+    # scan --max-den 60 | true: the reader is gone before scan writes, so the
+    # buffered summary fails in main()'s flush, not at shutdown, whatever the
+    # number of stripes; the collector is frozen on this path too
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        for jobs in ("1", "2"):
+            res = subprocess.run(
+                [sys.executable, "-c", _MAIN_WITH_HOOK, "scan", "--max-den", "60", "--jobs", jobs],
+                stdout=w, stderr=subprocess.PIPE, text=True, timeout=60,
+            )
+            assert (res.returncode, res.stderr) == (1, "error: stdout closed\nfrozen True\n")
+    finally:
+        os.close(w)
 
 
 def test_scan_output_in_a_file_is_flushed_at_exit(tmp_path, capsys):

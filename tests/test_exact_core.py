@@ -154,15 +154,13 @@ def _replace(obj, **changes):
 def _records():
     """(type, full positional args, required count, repr, other, bad changes)."""
     from trig_rational.angle import DoublingChain, ReducedAngle
-    from trig_rational.certifier import (
-        BackwardQuadraticStep, BaseStep, Certificate, ChainStep, Exclusion, PolyStep, SqrtStep)
+    from trig_rational.certifier import Certificate, Exclusion
     from trig_rational.classifier import TrigVerdict
     from trig_rational.highprec import RatInterval
     from trig_rational.polynomial import IntPolynomial
 
     angle = ReducedAngle(1, 8)
     angle_repr = "ReducedAngle(d=1, n=8, sign=1)"
-    poly = PolyStep(5)
     return [
         (ReducedAngle, (1, 5, 1), 2, "ReducedAngle(d=1, n=5, sign=1)", {"sign": -1}, [
             ({"n": 10, "d": 2}, "not a reduced angle: 2/10"),
@@ -185,21 +183,15 @@ def _records():
          "RatInterval(lo=Fraction(0, 1), hi=Fraction(1, 2))", {"hi": Fraction(1)}, [
             ({"lo": Fraction(1)}, "empty interval"),
         ]),
-        (BaseStep, (), 0, "BaseStep()", None, []),
-        (ChainStep, (8,), 1, "ChainStep(doublings=8)", {"doublings": 0}, []),
         (Exclusion, (3, "angle", None), 2,
          "Exclusion(candidate=3, method='angle', q_value=None)", {"candidate": 1}, [
             ({"method": "exact"}, "unknown exclusion method 'exact'"),
             ({"q_value": 0}, "wrong fields for a angle exclusion"),
             ({"method": "nonroot"}, "wrong fields for a nonroot exclusion"),
         ]),
-        (PolyStep, (5,), 1, "PolyStep(q=5)", {"q": 7}, []),
-        (BackwardQuadraticStep, (8,), 1, "BackwardQuadraticStep(den=8)", {"den": 12}, []),
-        (SqrtStep, (), 0, "SqrtStep()", None, []),
-        (Certificate, (Fraction(1, 5), "cos", TrigVerdict("irrational"), (ChainStep(0), poly)), 4,
+        (Certificate, (Fraction(1, 5), "cos", TrigVerdict("irrational")), 3,
          "Certificate(input=Fraction(1, 5), function='cos', "
-         "verdict=TrigVerdict(kind='irrational', value=None), "
-         "steps=(ChainStep(doublings=0), PolyStep(q=5)))",
+         "verdict=TrigVerdict(kind='irrational', value=None))",
          {"function": "tan"}, [({"function": "sin"}, "unknown function 'sin'")]),
     ]
 
@@ -207,20 +199,16 @@ def _records():
 def _positional(rec, cls, n):
     """The positional sub-patterns of a class pattern with n of them."""
     match rec:
-        case cls() if n == 0:
-            return ()
         case cls(a) if n == 1:
             return (a,)
         case cls(a, b) if n == 2:
             return a, b
         case cls(a, b, c) if n == 3:
             return a, b, c
-        case cls(a, b, c, d) if n == 4:
-            return a, b, c, d
     return None
 
 
-@pytest.mark.parametrize("index", range(12))
+@pytest.mark.parametrize("index", range(7))
 def test_record_types_api(index):
     import pickle
     import re
@@ -244,12 +232,11 @@ def test_record_types_api(index):
     for other_cls, other_args, *_ in records:
         if other_cls is not cls:
             assert rec != other_cls(*other_args)
-    if other is not None:
-        changed = _replace(rec, **other)
-        assert changed != rec and type(changed) is cls
-        assert {name: getattr(changed, name) for name in other} == other
-        assert all(getattr(changed, name) == getattr(rec, name)
-                   for name in fields if name not in other)
+    changed = _replace(rec, **other)
+    assert changed != rec and type(changed) is cls
+    assert {name: getattr(changed, name) for name in other} == other
+    assert all(getattr(changed, name) == getattr(rec, name)
+               for name in fields if name not in other)
     assert repr(rec) == text
     # frozen: no field or new attribute can be set or deleted
     for name in (*fields, "other"):

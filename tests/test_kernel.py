@@ -1,22 +1,25 @@
 """Tests for the verifier kernel: independence from the generator, lazy loading."""
 
 import ast
+import json
 import pickle
 import re
 import subprocess
 import sys
 from fractions import Fraction
+from math import isqrt
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import _mutation
 import trig_rational
 from trig_rational import certifier, classifier, kernel
-from trig_rational.angle import PoleError
+from trig_rational.angle import PoleError, invert_double_angle
 from trig_rational.certifier import (
-    BackwardQuadraticStep, BaseStep, ChainStep, PolyStep, SqrtStep, certificate_to_tree,
-    certify, to_json, verify_certificate)
+    certificate_to_tree, certify, to_json, verdict_to_tree, verify_certificate)
+from trig_rational.classifier import TrigVerdict, classify
 from trig_rational.exact_core import gcd
 from trig_rational.highprec import eval_cos, eval_tan_squared
 
@@ -41,7 +44,7 @@ def test_kernel_imports_only_the_standard_library():
 
 def test_kernel_verifies_without_the_generator():
     good = to_json(certify(Fraction(1, 15)))
-    bad = good.replace('"q": "15"', '"q": "17"')
+    bad = good.replace('{"kind": "irrational"}', '{"kind": "exact", "value": "3/1"}')
     assert bad != good
     code = f"""
 import sys
@@ -60,42 +63,43 @@ for line in sys.stdin:
     out = _python("-c", code, stdin=f"{good}\n{bad}\n").stdout
     assert out.splitlines() == [
         "VerificationResult(ok=True, reason='')",
-        "VerificationResult(ok=False, reason='odd part mismatch')",
+        "VerificationResult(ok=False, reason='verdict not entailed')",
     ]
 
 
 def test_kernel_rejects_what_a_broken_generator_emits(monkeypatch):
-    # the generator's steps are off, in the odd part or in the chain; the
-    # kernel derives both from the input alone
-    real = certifier._tan2_steps
+    # the generator's verdict is off: the root 3 of p_q claimed as tan^2 at
+    # an angle of odd part q, or another function's verdict; the kernel
+    # derives the verdict from the input alone
+    real = certifier.classify
+    other = {"tan2": "cos2", "cos2": "tan2", "tan": "cos", "cos": "tan"}
     broken = [
-        (lambda chain, poly: (chain, poly.__replace__(q=poly.q + 2)), "odd part mismatch"),
-        (lambda chain, poly: (ChainStep(chain.doublings + 1), poly), "chain length mismatch"),
+        (lambda r, f: TrigVerdict.exact(3),
+         ((Fraction(1, 15), "tan2"), (Fraction(3, 40), "cos"), (Fraction(7, 90), "tan"))),
+        (lambda r, f: real(r, other[f]),
+         ((Fraction(1, 6), "tan2"), (Fraction(3, 4), "tan"), (Fraction(1, 3), "cos"))),
     ]
-    for breaks, reason in broken:
-        def tan2_steps(n, breaks=breaks):
-            return breaks(*real(n))
-
-        monkeypatch.setattr(certifier, "_tan2_steps", tan2_steps)
-        for r, f in ((Fraction(1, 5), "tan2"), (Fraction(3, 40), "cos"), (Fraction(7, 90), "tan")):
+    for classify_, inputs in broken:
+        monkeypatch.setattr(certifier, "classify", classify_)
+        for r, f in inputs:
             cert = certify(r, f)
-            assert cert.steps != real(r.denominator)
-            assert verify_certificate(cert).reason == reason, (r, f)
+            assert cert.verdict != real(r, f)
+            assert verify_certificate(cert).reason == "verdict not entailed", (r, f)
 
 
 def test_verification_result_api():
     VR = kernel.VerificationResult
-    good, bad = VR(True), VR(False, "odd part mismatch")
+    good, bad = VR(True), VR(False, "verdict not entailed")
     assert (good.ok, good.reason) == (True, "")
-    assert (bad.ok, bad.reason) == (False, "odd part mismatch")
+    assert (bad.ok, bad.reason) == (False, "verdict not entailed")
     assert VR(ok=False, reason="x") == VR(False, "x")
     assert bool(good) is True and bool(bad) is False
     assert repr(good) == "VerificationResult(ok=True, reason='')"
-    assert repr(bad) == "VerificationResult(ok=False, reason='odd part mismatch')"
+    assert repr(bad) == "VerificationResult(ok=False, reason='verdict not entailed')"
     # equal results are equal and hash alike; a result equals no other type
     assert good == VR(True, "") and hash(good) == hash(VR(True, ""))
     assert good != bad and good != VR(True, "x")
-    assert good != (True, "") and bad != (False, "odd part mismatch")
+    assert good != (True, "") and bad != (False, "verdict not entailed")
     assert len({good, VR(True), bad}) == 2
     with pytest.raises(TypeError):
         good < bad
@@ -106,16 +110,6 @@ def test_verification_result_api():
             delattr(good, name)
     assert (good.ok, good.reason) == (True, "")
     assert pickle.loads(pickle.dumps(bad)) == bad
-
-
-def test_step_records_match_the_kernel_grammar():
-    # the kernel's table is the step grammar: each record's tag is a wire
-    # type, and its fields are that type's wire keys, in order
-    steps = (BaseStep, ChainStep, PolyStep, BackwardQuadraticStep, SqrtStep)
-    assert set(certifier.CertStep.__args__) == set(steps)
-    assert {cls._tag for cls in steps} == kernel._STEP_KEYS.keys()
-    for cls in steps:
-        assert cls.__match_args__ == kernel._STEP_KEYS[cls._tag], cls
 
 
 def test_plain_forms_agree():
@@ -137,7 +131,7 @@ def test_kernel_arithmetic_matches_the_library():
     assert trig_rational.FUNCTIONS == classifier.FUNCTIONS == kernel.FUNCTIONS
     assert certifier.WIRE_VERSION == kernel.WIRE_VERSION
     # the kernel's base table is the classifier's, written out again
-    tan2 = {n: None if v.kind == "pole" else (v.value.numerator, v.value.denominator)
+    tan2 = {n: (v.kind,) if v.value is None else (v.kind, (v.value.numerator, v.value.denominator))
             for n, v in classifier._TAN2_VERDICTS.items()}
     assert kernel._TAN2 == tan2
 
@@ -149,12 +143,12 @@ def test_base_table_matches_the_enclosures():
         for d in range(-2 * n, 2 * n):
             if gcd(d, n) != 1:
                 continue
-            if value is None:
+            if value == ("pole",):
                 with pytest.raises(PoleError):
                     eval_tan_squared(Fraction(d, n), 64)
                 continue
             for bits in (8, 64, 4096):
-                assert Fraction(*value) in eval_tan_squared(Fraction(d, n), bits)
+                assert Fraction(*value[1]) in eval_tan_squared(Fraction(d, n), bits)
 
 
 def _sign(iv) -> int:
@@ -179,10 +173,10 @@ def test_sign_folds_match_the_enclosure_signs():
                 cert = kernel.parse(certificate_to_tree(certify(r, function)))
                 p, q = cert[3][1]
                 good = (sign * abs(p), q)
-                assert kernel.check(cert[:3] + (("exact", good),) + cert[4:]).ok, r
+                assert kernel.check(cert[:3] + (("exact", good),)).ok, r
                 if p:
                     bad = (-good[0], q)
-                    assert not kernel.check(cert[:3] + (("exact", bad),) + cert[4:]).ok
+                    assert not kernel.check(cert[:3] + (("exact", bad),)).ok
                     checked += 1
     assert checked == 28 + 15 + 28  # tan at d/4, cos at d/1 and at d/3
 
@@ -219,8 +213,22 @@ def test_doubling_halves_an_even_reduced_denominator():
     assert [Fraction(2, n).denominator for n in (8, 12)] == [4, 6]
 
 
+def test_backward_quadratic_discriminants_are_not_squares():
+    # fact 3 at the stops 8 and 12, without the kernel: the doubled angles
+    # have the reduced denominators 4 and 6, where tan^2 = D = u/v is 1 and
+    # 1/3, so tan^2 at a stop is a root of u x^2 - 2(u + 2v) x + u; its
+    # discriminant 16 v (u + v), 32 and 192, is no square, so no root is
+    # rational, and the library's own preimage solver finds none either
+    for stop, (u, v) in ((8, (1, 1)), (12, (1, 3))):
+        assert classifier._TAN2_VERDICTS[stop // 2] == TrigVerdict.exact(Fraction(u, v))
+        disc = 4 * (u + 2 * v) ** 2 - 4 * u * u
+        assert disc == 16 * v * (u + v) == {8: 32, 12: 192}[stop]
+        assert isqrt(disc) ** 2 != disc
+        assert invert_double_angle(Fraction(u, v)) == []
+
+
 def test_doubling_keeps_integers_only_at_0_and_3():
-    # the core of fact 4, the doubling lemma the poly step rests on, by
+    # the core of fact 4, the doubling lemma, by
     # integer divisibility only: T(c) = 4c/(c - 1)^2 and T(T(c)) are both integers,
     # for an integer 0 <= c < 10^5 with c != 1, only at c = 0 and c = 3
     # (T(2) = 8, but T(8) = 32/49)
@@ -232,6 +240,54 @@ def test_doubling_keeps_integers_only_at_0_and_3():
         if t != 1 and 4 * t % (t - 1) ** 2 == 0:
             both.append(c)
     assert both == [0, 3]
+
+
+def test_tan2_increases_and_misses_0_and_3_past_the_base_table():
+    # fact 5 without the kernel: on each grid k/n of [0, 1/2) the certified
+    # tan^2 enclosures ascend and are disjoint, and at every reduced angle
+    # with odd denominator 5 <= q < 100 they exclude 0 = tan^2(0) and
+    # 3 = tan^2(1/3)
+    for n in range(2, 41):
+        ivs = [eval_tan_squared(Fraction(k, 2 * n), 64) for k in range(n)]
+        assert all(a.hi < b.lo for a, b in zip(ivs, ivs[1:])), n
+    for q in range(5, 100, 2):
+        for k in range(1, q):
+            if gcd(k, q) == 1:
+                iv = eval_tan_squared(Fraction(k, q), 64)
+                assert 0 not in iv and 3 not in iv, (k, q)
+
+
+def test_rational_squares_are_squares_of_both_terms():
+    # fact 6 without the kernel: a/b in lowest terms is the square of a
+    # rational p/q exactly when a and b are squares, for a < 200 and b < 200
+    # (p/q in lowest terms squares to p^2/q^2, in lowest terms, so p, q < 15)
+    squares = {Fraction(p, q) ** 2 for p in range(15) for q in range(1, 15)}
+    for a in range(200):
+        for b in range(1, 200):
+            if gcd(a, b) == 1:
+                both = isqrt(a) ** 2 == a and isqrt(b) ** 2 == b
+                assert (Fraction(a, b) in squares) == both, (a, b)
+
+
+def test_kernel_accepts_exactly_the_classifier_verdict_in_a_box():
+    # every input d/n with n <= 12 and d in [-2n, 2n], so shifted by whole
+    # periods and negative, for all four functions: of the true verdict, each
+    # other one in _mutation.VERDICTS and the true value nudged, the kernel
+    # accepts exactly classify's
+    rejected = 0
+    for n in range(1, 13):
+        for d in range(-2 * n, 2 * n + 1):
+            if gcd(d, n) != 1:
+                continue
+            for f in classifier.FUNCTIONS:
+                tree = {"version": kernel.WIRE_VERSION, "input": f"{d}/{n}", "function": f,
+                        "verdict": verdict_to_tree(classify(Fraction(d, n), f))}
+                assert kernel.verify_certificate_json(json.dumps(tree)).ok, tree
+                for bad in _mutation.wrong_verdicts(tree):
+                    res = kernel.verify_certificate_json(json.dumps(bad))
+                    assert res.reason == "verdict not entailed", bad
+                    rejected += 1
+    assert rejected > 10_000, rejected
 
 
 def test_package_import_loads_no_submodule():
