@@ -304,6 +304,14 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
+def _angle_argument(p: argparse.ArgumentParser) -> None:
+    p.add_argument("angle", help="rational multiple of pi, as d/n or d")
+    # argparse reads an argument that starts with "-" as an option unless its
+    # matcher takes it for a negative number, which "-7/9" is too
+    p._negative_number_matcher = re.compile(
+        rf"-[0-9]+/[0-9]+$|{p._negative_number_matcher.pattern}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trig-rational",
@@ -312,13 +320,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="print the verdict for one angle")
-    p.add_argument("angle", help="rational multiple of pi, as d/n or d")
+    _angle_argument(p)
     p.add_argument("--function", choices=FUNCTIONS, default="tan2")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_classify)
 
     p = sub.add_parser("certify", help="print a verdict certificate as JSON")
-    p.add_argument("angle", help="rational multiple of pi, as d/n or d")
+    _angle_argument(p)
     p.add_argument("--function", choices=FUNCTIONS, default="tan2")
     p.add_argument(
         "--verify", action="store_true", help="re-verify before printing"

@@ -3,11 +3,13 @@
 This module uses only the standard library and imports nothing else from the
 package, so a certificate can be checked without the code that made it.
 ``parse`` turns a JSON tree of the version-5 wire format into a plain
-certificate, and ``check`` decides whether the verdict it claims is the one
-that facts 1-6 below give for its input and function.  A plain certificate is
-the wire tree with every object a tuple, its tag first and its fields after
-it in wire order, and every number an int; rationals are (num, den) pairs in
-lowest terms with den >= 1:
+certificate, checking the tag and the exact key set of each object; a format
+error starts with the JSON path that failed, such as ``verdict.value``.
+``check`` decides whether the verdict a certificate claims is the one that
+facts 1-6 below give for its input and function.  A plain certificate is the
+wire tree with every object a tuple, its tag first and its fields after it in
+wire order, and every number an int; rationals are (num, den) pairs in lowest
+terms with den >= 1:
 
     (5, (num, den), function, verdict)
     verdict    ("exact", (num, den)) | ("pole",) | ("irrational",)
@@ -116,12 +118,6 @@ def verify_certificate_json(text: str | bytes) -> VerificationResult:
 
 
 # ------------------------------------------------------------ parser ------
-# Parsers raise _Bad, which gathers the JSON path as it unwinds: valid input
-# builds no path strings.
-
-
-class _Bad(Exception):
-    """args: the message, then the JSON path segments, innermost first."""
 
 
 def loads(text: str | bytes) -> object:
@@ -133,78 +129,57 @@ def loads(text: str | bytes) -> object:
 
 
 def parse(tree: object) -> tuple:
-    """The plain certificate of a wire tree; raises CertificateFormatError.
+    """The plain certificate of a wire tree; raises CertificateFormatError."""
+    version = _object(tree, "version", "certificate")
+    num_den = _rat(tree["input"], "input")
+    function = tree["function"]
+    if not isinstance(function, str):
+        raise CertificateFormatError("function: expected a string")
+    verdict = tree["verdict"]
+    kind = _object(verdict, "kind", "verdict")
+    verdict = (kind, _rat(verdict["value"], "verdict.value")) if kind == "exact" else (kind,)
+    if function not in FUNCTIONS:
+        raise CertificateFormatError(f"certificate: unknown function {function!r}")
+    return version, num_den, function, verdict
 
-    The message starts with a JSON path, such as verdict.value.
-    """
-    try:
-        cert = _CERTIFICATE(tree)
-        if cert[2] not in FUNCTIONS:
-            raise _Bad(f"unknown function {cert[2]!r}")
-        return cert
-    except _Bad as e:
-        msg, *path = e.args
-        where = "".join(reversed(path)).lstrip(".") or "certificate"
-        raise CertificateFormatError(f"{where}: {msg}") from None
+
+# for each tag key, the exact key set of an object with each tag
+_KEYS = {
+    "version": {WIRE_VERSION: {"version", "input", "function", "verdict"}},
+    "kind": {"exact": {"kind", "value"}, "pole": {"kind"}, "irrational": {"kind"}},
+}
+
+
+def _object(tree: object, tag_key: str, where: str) -> str | int:
+    """The tag of an object that has exactly the keys _KEYS gives for it."""
+    if not isinstance(tree, dict):
+        raise CertificateFormatError(f"{where}: expected an object")
+    tag = tree.get(tag_key)
+    # a missing tag, bool, float and unhashable tags select no key set
+    keys = _KEYS[tag_key].get(tag) if type(tag) in (str, int) else None
+    if keys is None:
+        raise CertificateFormatError(f"{where}: unsupported {tag_key} {tag!r}")
+    if tree.keys() != keys:
+        got = sorted(map(str, tree))  # a Python tree may have non-string keys
+        raise CertificateFormatError(f"{where}: fields must be exactly {sorted(keys)}, got {got}")
+    return tag
 
 
 # canonical rationals: no leading zeros, no -0, denominator >= 1, lowest terms
 _RAT_RE = re.compile(r"(0|-?[1-9][0-9]*)/([1-9][0-9]*)")
 
 
-def _rat(v: object) -> tuple[int, int]:
+def _rat(v: object, where: str) -> tuple[int, int]:
     m = _RAT_RE.fullmatch(v) if isinstance(v, str) else None
     if m is None:
-        raise _Bad("expected a canonical num/den string")
+        raise CertificateFormatError(f"{where}: expected a canonical num/den string")
     try:
         num, den = int(m[1]), int(m[2])
     except ValueError:  # over the interpreter's int-from-string digit limit
-        raise _Bad("too many digits") from None
+        raise CertificateFormatError(f"{where}: too many digits") from None
     if gcd(num, den) != 1:
-        raise _Bad("not in lowest terms")
+        raise CertificateFormatError(f"{where}: not in lowest terms")
     return num, den
-
-
-def _str(v: object) -> str:
-    if not isinstance(v, str):
-        raise _Bad("expected a string")
-    return v
-
-
-def _record(tag_key: str, variants: dict):
-    """Parser for one object kind: variants maps each tag to its (wire key, parser)s.
-
-    The object must have exactly the tag key and its variant's keys.
-    """
-    specs = {tag: ({tag_key, *(k for k, _ in fs)}, fs) for tag, fs in variants.items()}
-
-    def parse_record(tree: object) -> tuple:
-        if not isinstance(tree, dict):
-            raise _Bad("expected an object")
-        tag = tree.get(tag_key)
-        # a missing tag, bool, float and unhashable tags select no variant
-        spec = specs.get(tag) if type(tag) in (str, int) else None
-        if spec is None:
-            raise _Bad(f"unsupported {tag_key} {tag!r}")
-        keys, fields = spec
-        if tree.keys() != keys:
-            got = sorted(map(str, tree))  # a Python tree may have non-string keys
-            raise _Bad(f"fields must be exactly {sorted(keys)}, got {got}")
-        out = [tag]
-        for key, field in fields:
-            try:
-                out.append(field(tree[key]))
-            except _Bad as e:
-                e.args += (f".{key}",)
-                raise
-        return tuple(out)
-
-    return parse_record
-
-
-_VERDICT = _record("kind", {"exact": [("value", _rat)], "pole": [], "irrational": []})
-_CERTIFICATE = _record("version", {
-    WIRE_VERSION: [("input", _rat), ("function", _str), ("verdict", _VERDICT)]})
 
 
 # ----------------------------------------------------------- checker ------
@@ -237,6 +212,10 @@ def _entailed(num: int, den: int, function: str) -> tuple:
         return tan2
     if function == "cos2":
         return _cos2(tan2)
+    # The sign matters only where the value is exact and nonzero: tan at den 4
+    # and cos at den 1 and 3, where x/den (x the folded numerator) is 1/4, 3/4
+    # and 0, 1, 1/3, 2/3.  2x/den is never 1 there, so > and >= agree, and 3x/den
+    # passes 1 where 2x/den does; 2x = den only at den 2 (tan's pole, cos 0).
     if function == "tan":  # negative where num/den mod 1 lies past 1/2
         return _root(tan2, -1 if 2 * (num % den) > den else 1)
     t = num % (2 * den)  # negative where num/den folded into [0, 1] lies past 1/2

@@ -635,29 +635,103 @@ def test_mutation_helper_targets_numbers_only():
             certificate_from_tree(bad)
 
 
+_MISSING = object()
+
+
 def test_format_errors_name_the_json_path():
+    # the whole reason, one case per place the parser fails: the JSON path of
+    # the failing element, then what is wrong with it
+    fields = "['function', 'input', 'verdict', 'version']"
     cases = [
-        (("verdict", "value"), "1/2/3", "verdict.value"),
-        (("verdict", "value"), "01/3", "verdict.value"),
-        (("verdict", "value"), None, "verdict.value"),
-        (("verdict", "value"), "-0/1", "verdict.value"),
-        (("verdict", "kind"), ["exact"], "verdict"),
-        (("verdict", "sign"), 1, "verdict"),
-        (("input",), "2/30", "input"),
-        (("input",), 0.5, "input"),
-        (("function",), 2, "function"),
-        (("steps",), [], "certificate"),
-        (("version",), 4, "certificate"),
-        (("version",), 3, "certificate"),
+        ((), [], "certificate: expected an object"),
+        ((), "1/6", "certificate: expected an object"),
+        (("verdict",), "irrational", "verdict: expected an object"),
+        (("verdict",), ["pole"], "verdict: expected an object"),
+        (("version",), _MISSING, "certificate: unsupported version None"),
+        (("version",), True, "certificate: unsupported version True"),
+        (("version",), "5", "certificate: unsupported version '5'"),
+        (("version",), 5.0, "certificate: unsupported version 5.0"),
+        (("version",), 4, "certificate: unsupported version 4"),
+        (("version",), 3, "certificate: unsupported version 3"),
+        (("version",), [5], "certificate: unsupported version [5]"),
+        (("steps",), [], f"certificate: fields must be exactly {fields}, got "
+                         "['function', 'input', 'steps', 'verdict', 'version']"),
+        (("input",), _MISSING, "certificate: fields must be exactly "
+                           f"{fields}, got ['function', 'verdict', 'version']"),
+        (("verdict", "kind"), _MISSING, "verdict: unsupported kind None"),
+        (("verdict", "kind"), None, "verdict: unsupported kind None"),
+        (("verdict", "kind"), ["exact"], "verdict: unsupported kind ['exact']"),
+        (("verdict", "kind"), 1, "verdict: unsupported kind 1"),
+        (("verdict", "kind"), "transcendental", "verdict: unsupported kind 'transcendental'"),
+        (("verdict", "sign"), 1,
+         "verdict: fields must be exactly ['kind', 'value'], got ['kind', 'sign', 'value']"),
+        (("verdict", "value"), _MISSING,
+         "verdict: fields must be exactly ['kind', 'value'], got ['kind']"),
+        (("verdict",), {"kind": "pole", "value": "0/1"},
+         "verdict: fields must be exactly ['kind'], got ['kind', 'value']"),
+        (("verdict", "value"), "1/2/3", "verdict.value: expected a canonical num/den string"),
+        (("verdict", "value"), "01/3", "verdict.value: expected a canonical num/den string"),
+        (("verdict", "value"), "-0/1", "verdict.value: expected a canonical num/den string"),
+        (("verdict", "value"), 3, "verdict.value: expected a canonical num/den string"),
+        (("verdict", "value"), "2/6", "verdict.value: not in lowest terms"),
+        (("input",), "2/30", "input: not in lowest terms"),
+        (("input",), 0.5, "input: expected a canonical num/den string"),
+        (("input",), "1/0", "input: expected a canonical num/den string"),
+        (("function",), 2, "function: expected a string"),
+        (("function",), ["tan2"], "function: expected a string"),
+        (("function",), "sin", "certificate: unknown function 'sin'"),
+        # the first failure in order: version and keys, input, the function's
+        # type, the verdict, then an unknown function
+        (("function",), 2, "input: not in lowest terms", {"input": "2/6"}),
+        (("verdict",), "x", "function: expected a string", {"function": 2}),
+        (("function",), "sin", "verdict: unsupported kind None", {"verdict": {}}),
+        (("version",), 4, "certificate: unsupported version 4", {"input": "x", "steps": []}),
     ]
-    for path, value, where in cases:
+    for path, value, reason, *more in cases:
         tree = _tree()
         node = tree
         for key in path[:-1]:
             node = node[key]
-        node[path[-1]] = value
-        res = verify_certificate_json(json.dumps(tree))
-        assert res.reason.startswith(where + ": "), (path, res.reason)
+        if not path:
+            tree = value
+        elif value is _MISSING:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+        for extra in more:
+            tree.update(extra)
+        assert verify_certificate_json(json.dumps(tree)).reason == reason, (path, value)
+        with pytest.raises(CertificateFormatError) as e:
+            kernel.parse(tree)
+        assert str(e.value) == reason, (path, value)
+    # a Python tree may have keys that JSON cannot: sorted as strings
+    with pytest.raises(CertificateFormatError) as e:
+        kernel.parse({**_tree(), 1: "x"})
+    assert str(e.value) == (f"certificate: fields must be exactly {fields}, got "
+                            "['1', 'function', 'input', 'verdict', 'version']")
+    tree = _tree()
+    tree["verdict"] = {"kind": "irrational", ("kind",): "x"}
+    with pytest.raises(CertificateFormatError) as e:
+        kernel.parse(tree)
+    assert str(e.value) == "verdict: fields must be exactly ['kind'], got [\"('kind',)\", 'kind']"
+    # text that is not JSON fails before there is a tree to name a path in
+    for text in ("not json", b"\xff{", "[" * 100000 + "]" * 100000):
+        assert verify_certificate_json(text).reason.startswith("invalid JSON: "), text[:5]
+    # over the int-from-string digit limit, at its default
+    if hasattr(sys, "set_int_max_str_digits"):
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+        try:
+            for path in (("input",), ("verdict", "value")):
+                tree = _tree()
+                node = tree
+                for key in path[:-1]:
+                    node = node[key]
+                node[path[-1]] = "1/" + "7" * 5000
+                reason = ".".join(path) + ": too many digits"
+                assert verify_certificate_json(json.dumps(tree)).reason == reason
+        finally:
+            sys.set_int_max_str_digits(old)
 
 
 def test_wire_bytes_are_pinned():

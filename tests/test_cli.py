@@ -61,6 +61,29 @@ def test_classify_json_output(capsys):
     assert tree["verdict"] == {"kind": "exact", "value": "0/1"}
 
 
+def test_a_negative_fraction_is_an_angle(capsys):
+    # argparse reads an argument that starts with "-" as an option unless it
+    # looks like a negative number; -7/9 is the angle -7/9 pi, as written
+    assert run(["classify", "-7/9"]) == 0
+    assert capsys.readouterr().out == "tan2(2/9 pi): irrational\n"
+    assert run(["classify", "-7/9", "--function", "cos"]) == 0
+    assert capsys.readouterr().out == "cos(7/9 pi): irrational\n"
+    assert run(["classify", "--function", "tan", "-5/4"]) == 0
+    assert capsys.readouterr().out == "tan(-1/4 pi): exact -1\n"
+    assert run(["certify", "-1/3", "--function", "cos"]) == 0
+    assert json.loads(capsys.readouterr().out)["input"] == "-1/3"
+    assert run(["classify", "-7/0"]) == 2
+    assert capsys.readouterr().err == "error: angle denominator must not be zero\n"
+    # what is no negative number stays an option, and --help is unchanged
+    assert run(["classify", "-7/9x"]) == 2
+    assert capsys.readouterr().err.endswith(
+        "error: the following arguments are required: angle\n")
+    assert run(["classify", "--help"]) == 0
+    assert capsys.readouterr().out.startswith(
+        "usage: trig-rational classify [-h] [--function {tan2,tan,cos2,cos}] [--json]\n"
+        "                              angle\n")
+
+
 def test_usage_errors(capsys):
     assert run(["classify", "1/0"]) == 2
     assert "error:" in capsys.readouterr().err
