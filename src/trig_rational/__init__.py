@@ -26,15 +26,12 @@ _EXPORTS = {
         "DoublingChain",
         "PoleError",
         "ReducedAngle",
-        "cos_base_value",
-        "double_angle_forward",
         "doubling_chain",
         "integer_double_angle_preimages",
         "invert_double_angle",
         "odd_part",
         "reduce_for_cos",
         "reduce_for_tan",
-        "tan_squared_base_value",
     ], "angle"),
     "Certificate": "certifier",
     "CertificateFormatError": "kernel",
@@ -59,13 +56,8 @@ _EXPORTS = {
         "classify_tan",
         "classify_tan_squared",
     ], "classifier"),
-    **dict.fromkeys([
-        "binomial",
-        "divisors",
-        "integer_sqrt",
-        "make_rational",
-        "rational_sqrt",
-    ], "exact_core"),
+    "divisors": "exact_core",
+    "rational_sqrt": "exact_core",
     **dict.fromkeys([
         "RatInterval",
         "crosscheck",

@@ -20,17 +20,14 @@ __all__ = [
     "reduce_for_tan",
     "reduce_for_cos",
     "odd_part",
-    "double_angle_forward",
     "invert_double_angle",
     "integer_double_angle_preimages",
     "doubling_chain",
-    "tan_squared_base_value",
-    "cos_base_value",
 ]
 
 
 class PoleError(ValueError):
-    """Raised where tan (or the double-angle map) hits its pole."""
+    """Raised where tan hits its pole."""
 
 
 class ReducedAngle(FrozenRecord):
@@ -117,17 +114,6 @@ def odd_part(n: int) -> tuple[int, int]:
     return a, n >> a
 
 
-def double_angle_forward(t: Fraction | int) -> Fraction:
-    """The action of angle doubling on tan^2: T -> 4T/(1-T)^2.
-
-    T = 1 means the doubled angle sits on the pole, which is an error here.
-    """
-    t = as_fraction(t)
-    if t == 1:
-        raise PoleError("tan^2 = 1 doubles onto the pole")
-    return 4 * t / (1 - t) ** 2
-
-
 def invert_double_angle(d_value: Fraction | int) -> list[Fraction]:
     """All rational T with 4T/(1-T)^2 = d_value, ascending.
 
@@ -183,37 +169,3 @@ def doubling_chain(start: ReducedAngle, stop_den: int) -> DoublingChain:
         angles.append(ReducedAngle(d, n))
     return DoublingChain(tuple(angles))
 
-
-_TAN2_BASE: dict[int, Fraction | None] = {
-    1: Fraction(0),
-    2: None,  # pole
-    3: Fraction(3),
-    4: Fraction(1),
-    6: Fraction(1, 3),
-}
-
-
-def tan_squared_base_value(n: int) -> Fraction | None:
-    """Exact tan^2 at the reduced denominators 1, 2, 3, 4, 6 (None marks the pole).
-
-    At these denominators the reduced numerator is forced (0 for n = 1, else 1),
-    so the value depends on n alone.
-    """
-    if n not in _TAN2_BASE:
-        raise ValueError(f"no exact tan^2 value at denominator {n}")
-    return _TAN2_BASE[n]
-
-
-def cos_base_value(angle: ReducedAngle) -> Fraction:
-    """Exact cos at the cos-reduced denominators 1, 2, 3.
-
-    The magnitude depends on the denominator, the sign on which side of 1/2
-    the representative lies.
-    """
-    if angle.n == 1:
-        return Fraction(1) if angle.d == 0 else Fraction(-1)
-    if angle.n == 2:
-        return Fraction(0)
-    if angle.n == 3:
-        return Fraction(1, 2) if angle.d == 1 else Fraction(-1, 2)
-    raise ValueError(f"no exact cos value at denominator {angle.n}")

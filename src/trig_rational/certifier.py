@@ -29,16 +29,16 @@ Every step is exact: no interval arithmetic is involved.  Serialization is
 strict JSON: rationals travel as "num/den" strings in lowest terms.  The
 kernel parses and checks on plain ints and shares no code or cache with this
 module; it rejects unknown fields, non-canonical numbers and version drift.
-This module loads the kernel only when it verifies or parses, or when a
-re-exported kernel name is first read, so certify and to_json run without
-it; it keeps its own WIRE_VERSION, equal to the kernel's.  This module
-builds certificates, writes them, and maps them to and from the kernel's
-plain form.
+This module loads the kernel only when it verifies or parses, so certify
+and to_json run without it; it keeps its own WIRE_VERSION, equal to the
+kernel's.  This module builds certificates, writes them, and maps them to
+and from the kernel's plain form.  The kernel's own names,
+verify_certificate_json, VerificationResult and CertificateFormatError, are
+read from the kernel or the package, not from here.
 """
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 
 from . import FUNCTIONS
@@ -51,12 +51,9 @@ __all__ = [
     "WIRE_VERSION",
     "Exclusion",
     "Certificate",
-    "VerificationResult",
-    "CertificateFormatError",
     "certify",
     "exclude_candidate",
     "verify_certificate",
-    "verify_certificate_json",
     "certificate_to_tree",
     "certificate_from_tree",
     "verdict_to_tree",
@@ -173,20 +170,6 @@ loads = _from_kernel("loads")
 parse = _from_kernel("parse")
 
 
-def __getattr__(name: str) -> object:
-    """The kernel's names that this module re-exports, loaded on first use.
-
-    Every other missing name is an AttributeError: the import system probes
-    module attributes, and a catch-all would load the kernel on each probe.
-    """
-    if name not in ("CertificateFormatError", "VerificationResult", "verify_certificate_json"):
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import kernel
-
-    globals()[name] = value = getattr(kernel, name)
-    return value
-
-
 # ------------------------------------------- the kernel's plain form ------
 
 
@@ -239,14 +222,12 @@ def certificate_from_tree(tree: object) -> Certificate:
         Fraction(num, den), function, TrigVerdict(kind, *(Fraction(*v) for v in value)))
 
 
-def to_json(cert: Certificate, indent: int | None = None) -> str:
-    """json.dumps(certificate_to_tree(cert), sort_keys=True, indent=indent).
+def to_json(cert: Certificate) -> str:
+    """The bytes of json.dumps(certificate_to_tree(cert), sort_keys=True).
 
-    Without indent the same bytes are written by template, in sorted key
-    order, without building the tree.
+    They are written by template, in sorted key order, without building the
+    tree.
     """
-    if indent is not None:
-        return json.dumps(certificate_to_tree(cert), sort_keys=True, indent=indent)
     v = cert.verdict
     value = "" if v.value is None else f', "value": "{_rat(v.value)}"'
     return (

@@ -12,13 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import FUNCTIONS
-from .angle import (
-    ReducedAngle,
-    _cos_fold,
-    _tan_fold,
-    cos_base_value,
-    tan_squared_base_value,
-)
+from .angle import _cos_fold, _tan_fold
 from .exact_core import FrozenRecord, _store, as_fraction
 
 __all__ = [
@@ -61,25 +55,24 @@ POLE = TrigVerdict("pole")
 IRRATIONAL = TrigVerdict("irrational")
 
 
-# the verdicts at the base denominators, keyed as the folds return them
-_TAN2_VERDICTS = {
-    n: POLE if v is None else TrigVerdict.exact(v)
-    for n in (1, 2, 3, 4, 6)
-    for v in (tan_squared_base_value(n),)
-}
-_COS2_VERDICTS = {
-    n: TrigVerdict.exact(0 if t.kind == "pole" else 1 / (1 + t.value))
-    for n, t in _TAN2_VERDICTS.items()
-}
-_COS_VERDICTS = {
-    (d, n): TrigVerdict.exact(cos_base_value(ReducedAngle(d, n)))
-    for d, n in ((0, 1), (1, 1), (1, 2), (1, 3), (2, 3))
-}
+# the verdicts at the base denominators: tan^2 and cos^2 = 1/(1 + tan^2) by
+# the reduced denominator, cos by its fold (d, n) into [0, 1]
+_TAN2_VERDICTS = {1: TrigVerdict.exact(0), 2: POLE, 3: TrigVerdict.exact(3),
+                  4: TrigVerdict.exact(1), 6: TrigVerdict.exact(Fraction(1, 3))}
+_COS2_VERDICTS = {1: TrigVerdict.exact(1), 2: TrigVerdict.exact(0),
+                  3: TrigVerdict.exact(Fraction(1, 4)), 4: TrigVerdict.exact(Fraction(1, 2)),
+                  6: TrigVerdict.exact(Fraction(3, 4))}
+_COS_VERDICTS = {(0, 1): TrigVerdict.exact(1), (1, 1): TrigVerdict.exact(-1),
+                 (1, 2): TrigVerdict.exact(0), (1, 3): TrigVerdict.exact(Fraction(1, 2)),
+                 (2, 3): TrigVerdict.exact(Fraction(-1, 2))}
 
 
 def classify_tan_squared(r: Fraction | int) -> TrigVerdict:
-    """tan^2(r*pi): Pole at denominator 2, exact on {1, 3, 4, 6}, else irrational."""
-    return _TAN2_VERDICTS.get(_tan_fold(r)[1], IRRATIONAL)
+    """tan^2(r*pi): Pole at denominator 2, exact on {1, 3, 4, 6}, else irrational.
+
+    No fold: tan's period and parity keep the reduced denominator.
+    """
+    return _TAN2_VERDICTS.get(as_fraction(r).denominator, IRRATIONAL)
 
 
 def classify_tan(r: Fraction | int) -> TrigVerdict:
@@ -96,7 +89,7 @@ def classify_tan(r: Fraction | int) -> TrigVerdict:
 
 def classify_cos_squared(r: Fraction | int) -> TrigVerdict:
     """cos^2(r*pi) = 1/(1 + tan^2(r*pi)); the pole of tan^2 becomes the value 0."""
-    return _COS2_VERDICTS.get(_tan_fold(r)[1], IRRATIONAL)
+    return _COS2_VERDICTS.get(as_fraction(r).denominator, IRRATIONAL)
 
 
 def classify_cos(r: Fraction | int) -> TrigVerdict:

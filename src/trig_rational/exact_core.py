@@ -3,31 +3,23 @@
 Integers are plain Python ``int`` (arbitrary precision).  Rationals are
 ``fractions.Fraction``, which already canonicalizes to lowest terms with a
 positive denominator on construction, so structural equality is semantic
-equality.  The stdlib supplies gcd, floor square root and binomial
-coefficients; the divisor enumeration and the exact rational square root
-are written here, and so is FrozenRecord, the base of the package's
-immutable value types.
+equality; callers build them with Fraction and take floor square roots and
+binomial coefficients from math.isqrt and math.comb.  The divisor
+enumeration and the exact rational square root are written here, and so is
+FrozenRecord, the base of the package's immutable value types.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb as _comb, gcd, isqrt as integer_sqrt
+from math import gcd, isqrt
 
 __all__ = [
     "gcd",
-    "integer_sqrt",
-    "make_rational",
     "as_fraction",
     "divisors",
     "rational_sqrt",
-    "binomial",
 ]
-
-
-def make_rational(num: int, den: int) -> Fraction:
-    """num/den in lowest terms, positive denominator.  den == 0 raises."""
-    return Fraction(num, den)
 
 
 def as_fraction(x: Fraction | int) -> Fraction:
@@ -64,37 +56,16 @@ def rational_sqrt(q: Fraction | int) -> Fraction | None:
     q = as_fraction(q)
     if q < 0:
         return None
-    rn = integer_sqrt(q.numerator)
-    rd = integer_sqrt(q.denominator)
+    rn = isqrt(q.numerator)
+    rd = isqrt(q.denominator)
     if rn * rn == q.numerator and rd * rd == q.denominator:
         return Fraction(rn, rd)
     return None
 
 
-def binomial(n: int, k: int) -> int:
-    """C(n, k) for 0 <= k <= n; anything else raises."""
-    if n < 0 or k < 0 or k > n:
-        raise ValueError(f"binomial({n}, {k}) out of range")
-    return _comb(n, k)
-
-
 # A record's __init__ stores its fields with this, past FrozenRecord.__setattr__;
 # a module global is looked up faster than object.__setattr__.
 _store = object.__setattr__
-
-
-class _FieldsKey:
-    """FrozenRecord._key: the tuple of a record's fields, built on first use.
-
-    It is then kept as an instance attribute, which hides this descriptor,
-    so that construction pays nothing for it and each later == or hash
-    reads one attribute.
-    """
-
-    def __get__(self, record: FrozenRecord, owner: type | None = None) -> tuple:
-        key = tuple([getattr(record, name) for name in record.__match_args__])
-        _store(record, "_key", key)
-        return key
 
 
 class FrozenRecord:
@@ -112,7 +83,10 @@ class FrozenRecord:
     """
 
     __match_args__: tuple[str, ...] = ()
-    _key = _FieldsKey()
+
+    @property
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:

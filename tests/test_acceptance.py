@@ -16,12 +16,7 @@ from trig_rational.angle import (
     invert_double_angle,
     reduce_for_cos,
 )
-from trig_rational.certifier import (
-    certificate_to_tree,
-    certify,
-    verify_certificate,
-    verify_certificate_json,
-)
+from trig_rational.certifier import certificate_to_tree, certify, verify_certificate
 from trig_rational.classifier import (
     FUNCTIONS,
     IRRATIONAL,
@@ -39,6 +34,7 @@ from trig_rational.highprec import (
     eval_poly_at_tan_squared,
     eval_tan_squared,
 )
+from trig_rational.kernel import verify_certificate_json
 from trig_rational.polynomial import rational_roots, tan_poly, tan_squared_poly
 
 

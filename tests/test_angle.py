@@ -9,21 +9,23 @@ from hypothesis import given, settings, strategies as st
 
 from trig_rational import certifier
 from trig_rational.angle import (
-    PoleError,
     ReducedAngle,
     _cos_fold,
     _tan_fold,
-    cos_base_value,
-    double_angle_forward,
     doubling_chain,
     integer_double_angle_preimages,
     invert_double_angle,
     odd_part,
     reduce_for_cos,
     reduce_for_tan,
-    tan_squared_base_value,
 )
+from trig_rational.classifier import classify_tan_squared
 from trig_rational.exact_core import gcd
+
+
+def _double(t):
+    """The action of angle doubling on tan^2, T -> 4T/(1-T)^2, as the oracle."""
+    return 4 * t / (1 - t) ** 2
 
 
 def test_reduced_angle_validation():
@@ -146,27 +148,6 @@ def test_odd_part():
         assert q % 2 == 1 and (1 << a) * q == n
 
 
-def test_double_angle_forward_examples():
-    assert double_angle_forward(Fraction(1, 3)) == 3
-    assert double_angle_forward(0) == 0
-    # 3 is a fixed point: doubling pi/3 lands on 2pi/3, same tan^2
-    assert double_angle_forward(3) == 3
-    with pytest.raises(PoleError):
-        double_angle_forward(1)
-
-
-def test_double_angle_forward_matches_floats():
-    rng = random.Random(88)
-    for _ in range(300):
-        t = Fraction(rng.randrange(0, 500), rng.randrange(1, 100))
-        if t == 1:
-            continue
-        x = math.atan(math.sqrt(float(t)))
-        want = math.tan(2 * x) ** 2
-        got = double_angle_forward(t)
-        assert math.isclose(float(got), want, rel_tol=1e-6, abs_tol=1e-9)
-
-
 def test_invert_double_angle_examples():
     assert invert_double_angle(3) == [Fraction(1, 3), 3]
     assert invert_double_angle(1) == []
@@ -183,7 +164,7 @@ def test_invert_double_angle_round_trip():
         d_value = Fraction(rng.randrange(0, 400), rng.randrange(1, 60))
         pre = invert_double_angle(d_value)
         for x in pre:
-            assert double_angle_forward(x) == d_value
+            assert _double(x) == d_value
         if d_value > 0 and pre:
             # the two preimages are reciprocal: complementary angles
             assert len(pre) == 2
@@ -198,7 +179,7 @@ def test_invert_double_angle_completeness():
         x = Fraction(rng.randrange(0, 300), rng.randrange(1, 60))
         if x == 1:
             continue
-        assert x in invert_double_angle(double_angle_forward(x))
+        assert x in invert_double_angle(_double(x))
 
 
 def test_integer_double_angle_preimages():
@@ -280,7 +261,8 @@ def test_doubling_chain_avoids_tan_poles():
 def test_chain_transports_exact_values():
     chain = doubling_chain(ReducedAngle(1, 6), 3)
     assert chain.angles == (ReducedAngle(1, 6), ReducedAngle(1, 3))
-    assert double_angle_forward(tan_squared_base_value(6)) == tan_squared_base_value(3)
+    t6, t3 = classify_tan_squared(Fraction(1, 6)).value, classify_tan_squared(Fraction(1, 3)).value
+    assert _double(t6) == t3
 
 
 def test_chain_transports_float_values():
@@ -299,21 +281,3 @@ def test_chain_transports_float_values():
             image = 4 * t_prev / (1 - t_prev) ** 2
             assert math.isclose(image, t_cur, rel_tol=1e-7)
 
-
-def test_base_value_tables():
-    assert tan_squared_base_value(1) == 0
-    assert tan_squared_base_value(2) is None
-    assert tan_squared_base_value(3) == 3
-    assert tan_squared_base_value(4) == 1
-    assert tan_squared_base_value(6) == Fraction(1, 3)
-    for bad in (5, 8, 12):
-        with pytest.raises(ValueError):
-            tan_squared_base_value(bad)
-
-    assert cos_base_value(ReducedAngle(0, 1)) == 1
-    assert cos_base_value(ReducedAngle(1, 1)) == -1
-    assert cos_base_value(ReducedAngle(1, 2)) == 0
-    assert cos_base_value(ReducedAngle(1, 3)) == Fraction(1, 2)
-    assert cos_base_value(ReducedAngle(2, 3)) == Fraction(-1, 2)
-    with pytest.raises(ValueError):
-        cos_base_value(ReducedAngle(1, 5))

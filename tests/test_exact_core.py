@@ -2,17 +2,11 @@
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
-from trig_rational.exact_core import (
-    binomial,
-    divisors,
-    gcd,
-    integer_sqrt,
-    make_rational,
-    rational_sqrt,
-)
+from trig_rational.exact_core import divisors, gcd, rational_sqrt
 
 
 def test_gcd_examples():
@@ -20,19 +14,6 @@ def test_gcd_examples():
     assert gcd(-7, 0) == 7
     assert gcd(0, 0) == 0
     assert gcd(3, 5) == 1
-
-
-def test_make_rational_reduces():
-    assert make_rational(2, 6) == Fraction(1, 3)
-    r = make_rational(3, -9)
-    assert (r.numerator, r.denominator) == (-1, 3)
-    assert make_rational(10, 1) == 10
-    assert make_rational(0, 7) == 0
-
-
-def test_make_rational_rejects_zero_denominator():
-    with pytest.raises(ZeroDivisionError):
-        make_rational(1, 0)
 
 
 def test_divisors_examples():
@@ -66,27 +47,6 @@ def test_divisors_match_brute_force():
         assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
 
 
-def test_integer_sqrt_examples():
-    assert integer_sqrt(4) == 2
-    assert integer_sqrt(32) == 5
-    assert integer_sqrt(0) == 0
-    assert integer_sqrt(1) == 1
-    assert integer_sqrt(10**40) == 10**20
-
-
-def test_integer_sqrt_floor_property():
-    rng = random.Random(7)
-    for _ in range(10_000):
-        x = rng.randrange(0, 1 << 256)
-        r = integer_sqrt(x)
-        assert r * r <= x < (r + 1) * (r + 1)
-
-
-def test_integer_sqrt_rejects_negative():
-    with pytest.raises(ValueError):
-        integer_sqrt(-1)
-
-
 def test_rational_sqrt_examples():
     assert rational_sqrt(4) == 2
     assert rational_sqrt(Fraction(4, 9)) == Fraction(2, 3)
@@ -117,31 +77,9 @@ def test_rational_sqrt_result_squares_back():
         else:
             # no rational square root: numerator or denominator of the
             # canonical form is not a perfect square
-            rn = integer_sqrt(q.numerator)
-            rd = integer_sqrt(q.denominator)
+            rn = isqrt(q.numerator)
+            rd = isqrt(q.denominator)
             assert rn * rn != q.numerator or rd * rd != q.denominator
-
-
-def test_binomial_examples():
-    assert binomial(7, 3) == 35
-    assert binomial(5, 3) == 10
-    assert binomial(9, 0) == 1
-    assert binomial(9, 9) == 1
-    assert binomial(0, 0) == 1
-
-
-def test_binomial_out_of_range():
-    for n, k in ((-1, 0), (3, -1), (3, 4)):
-        with pytest.raises(ValueError):
-            binomial(n, k)
-
-
-def test_binomial_pascal_triangle():
-    row = [1]
-    for n in range(1, 65):
-        row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
-        for k, expect in enumerate(row):
-            assert binomial(n, k) == expect
 
 
 # ------------------------------------------------- the value types --------
