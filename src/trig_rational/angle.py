@@ -31,10 +31,11 @@ class PoleError(ValueError):
 
 
 class ReducedAngle(FrozenRecord):
-    """Canonical angle representative d/n (lowest terms) with an orientation sign.
+    """An angle d/n (lowest terms, d >= 0) with an orientation sign.
 
-    The sign only matters for odd functions of the angle (tan); it is +1
-    everywhere else.
+    Any such d/n is accepted; reduce_for_tan and reduce_for_cos return the
+    canonical ones, folded into [0, 1/2] and [0, 1].  The sign only matters
+    for odd functions of the angle (tan); it is +1 everywhere else.
     """
 
     __match_args__ = ("d", "n", "sign")

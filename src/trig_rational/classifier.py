@@ -1,10 +1,12 @@
 """Classify tan^2, tan, cos^2 and cos at rational multiples of pi.
 
 Each function of r*pi is either undefined (tan at odd multiples of pi/2),
-an exact rational, or irrational; the verdict depends only on the reduced
-denominator.  The rational values are scarce: tan^2 takes {0, 1, 1/3, 3},
-tan takes {0, -1, 1}, cos takes {0, +-1, +-1/2} and cos^2 takes
-{0, 1, 1/2, 1/4, 3/4}; everything else is irrational.
+an exact rational, or irrational; the verdict is read off the reduced
+fraction d/n, by n alone for tan^2 and cos^2 and by n with the residue of d
+mod n (tan) or mod 2n (cos) for the signed functions.  The rational values
+are scarce: tan^2 takes {0, 1, 1/3, 3}, tan takes {0, -1, 1}, cos takes
+{0, +-1, +-1/2} and cos^2 takes {0, 1, 1/2, 1/4, 3/4}; everything else is
+irrational.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import FUNCTIONS
-from .angle import _cos_fold, _tan_fold
 from .exact_core import FrozenRecord, _store, as_fraction
 
 __all__ = [
@@ -55,16 +56,22 @@ POLE = TrigVerdict("pole")
 IRRATIONAL = TrigVerdict("irrational")
 
 
-# the verdicts at the base denominators: tan^2 and cos^2 = 1/(1 + tan^2) by
-# the reduced denominator, cos by its fold (d, n) into [0, 1]
+# the verdicts at the base denominators, read off the reduced d/n: tan^2 and
+# cos^2 = 1/(1 + tan^2) by n alone, tan by (n, d mod n) as it has period 1,
+# cos by (n, d mod 2n) as it has period 2
 _TAN2_VERDICTS = {1: TrigVerdict.exact(0), 2: POLE, 3: TrigVerdict.exact(3),
                   4: TrigVerdict.exact(1), 6: TrigVerdict.exact(Fraction(1, 3))}
 _COS2_VERDICTS = {1: TrigVerdict.exact(1), 2: TrigVerdict.exact(0),
                   3: TrigVerdict.exact(Fraction(1, 4)), 4: TrigVerdict.exact(Fraction(1, 2)),
                   6: TrigVerdict.exact(Fraction(3, 4))}
-_COS_VERDICTS = {(0, 1): TrigVerdict.exact(1), (1, 1): TrigVerdict.exact(-1),
-                 (1, 2): TrigVerdict.exact(0), (1, 3): TrigVerdict.exact(Fraction(1, 2)),
-                 (2, 3): TrigVerdict.exact(Fraction(-1, 2))}
+_TAN_VERDICTS = {(1, 0): TrigVerdict.exact(0), (2, 1): POLE,
+                 (4, 1): TrigVerdict.exact(1), (4, 3): TrigVerdict.exact(-1)}
+_COS_VERDICTS = {(1, 0): TrigVerdict.exact(1), (1, 1): TrigVerdict.exact(-1),
+                 (2, 1): TrigVerdict.exact(0), (2, 3): TrigVerdict.exact(0),
+                 (3, 1): TrigVerdict.exact(Fraction(1, 2)),
+                 (3, 5): TrigVerdict.exact(Fraction(1, 2)),
+                 (3, 2): TrigVerdict.exact(Fraction(-1, 2)),
+                 (3, 4): TrigVerdict.exact(Fraction(-1, 2))}
 
 
 def classify_tan_squared(r: Fraction | int) -> TrigVerdict:
@@ -77,14 +84,8 @@ def classify_tan_squared(r: Fraction | int) -> TrigVerdict:
 
 def classify_tan(r: Fraction | int) -> TrigVerdict:
     """tan(r*pi): exact only at denominators 1 and 4 (values 0 and +-1)."""
-    _, n, sign = _tan_fold(r)
-    if n == 1:
-        return TrigVerdict.exact(0)
-    if n == 2:
-        return POLE
-    if n == 4:
-        return TrigVerdict.exact(sign)
-    return IRRATIONAL
+    r = as_fraction(r)
+    return _TAN_VERDICTS.get((r.denominator, r.numerator % r.denominator), IRRATIONAL)
 
 
 def classify_cos_squared(r: Fraction | int) -> TrigVerdict:
@@ -93,8 +94,9 @@ def classify_cos_squared(r: Fraction | int) -> TrigVerdict:
 
 
 def classify_cos(r: Fraction | int) -> TrigVerdict:
-    """cos(r*pi): exact only at cos-reduced denominators 1, 2, 3."""
-    return _COS_VERDICTS.get(_cos_fold(r), IRRATIONAL)
+    """cos(r*pi): exact only at reduced denominators 1, 2, 3."""
+    r = as_fraction(r)
+    return _COS_VERDICTS.get((r.denominator, r.numerator % (2 * r.denominator)), IRRATIONAL)
 
 
 def classify(r: Fraction | int, function: str) -> TrigVerdict:

@@ -207,7 +207,7 @@ def eval_tan_squared(angle: ReducedAngle | Fraction | int, bits: int) -> RatInte
     division as the angle nears the pole.
     """
     _check_bits(bits)
-    d, n = _tan_dn(angle)
+    d, n, _ = _tan_fold(_rational(angle))
     if n == 2:
         raise PoleError("tan^2 has a pole at denominator 2")
     return _published(_tan2_centre(d, n, bits), bits)
@@ -237,7 +237,7 @@ def _tan2_centre(d: int, n: int, bits: int) -> int:
 def eval_cos(angle: ReducedAngle | Fraction | int, bits: int) -> RatInterval:
     """Certified enclosure of cos(angle * pi), width 2^-bits, bits in [MIN_BITS, MAX_BITS]."""
     _check_bits(bits)
-    d, n = (angle.d, angle.n) if isinstance(angle, ReducedAngle) else _cos_fold(angle)
+    d, n = _cos_fold(_rational(angle))
     return _published(_cos_centre(d, n, bits), bits)
 
 
@@ -266,13 +266,9 @@ def _cos_raw(d: int, n: int, bits: int) -> tuple[int, int, int]:
         guard *= 2
 
 
-def _tan_dn(angle: ReducedAngle | Fraction | int) -> tuple[int, int]:
-    if isinstance(angle, ReducedAngle):
-        if 2 * angle.d <= angle.n:
-            return angle.d, angle.n
-        # fold cos-style representatives from (1/2, 1] into tan's range
-        angle = angle.fraction
-    return _tan_fold(angle)[:2]
+def _rational(angle: ReducedAngle | Fraction | int) -> Fraction | int:
+    """A ReducedAngle read as its fraction, its sign ignored; any other angle as it is."""
+    return angle.fraction if isinstance(angle, ReducedAngle) else angle
 
 
 def interval_eval(p: IntPolynomial, iv: RatInterval, bits: int) -> RatInterval:
@@ -301,7 +297,7 @@ def eval_poly_at_tan_squared(
     that would pass MAX_BITS raises ValueError.
     """
     _check_bits(bits)
-    target = Fraction(_tan_dn(angle)[1] ** 3, 1 << (bits - 8))
+    target = Fraction(_tan_fold(_rational(angle))[1] ** 3, 1 << (bits - 8))
     b = bits
     while True:
         iv = eval_tan_squared(angle, b)

@@ -35,10 +35,10 @@ class IntPolynomial(FrozenRecord):
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs: tuple[int, ...]) -> None:
-        cs = tuple(int(c) for c in coeffs)
+        cs = [int(c) for c in coeffs]
         while cs and cs[-1] == 0:
-            cs = cs[:-1]
-        _store(self, "coeffs", cs)
+            cs.pop()  # O(1) from the end, so stripping k zeros is linear in k
+        _store(self, "coeffs", tuple(cs))
 
     @property
     def degree(self) -> int:

@@ -2,6 +2,8 @@
 
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -158,3 +160,11 @@ def test_symmetries():
         assert tn.kind == t.kind
         if t.is_exact:
             assert tn.value == -t.value
+
+
+def test_classifier_reads_the_reduced_fraction_without_the_angle_module():
+    # every verdict comes from a table keyed by n, or by n and the numerator's
+    # residue, so importing the classifier folds nothing and loads no angle
+    code = "import sys, trig_rational.classifier; print('trig_rational.angle' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert res.stdout == "False\n"

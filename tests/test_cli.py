@@ -116,6 +116,29 @@ def test_usage_errors(capsys):
         assert "error:" in capsys.readouterr().err
 
 
+def test_inputs_past_the_digit_limit_are_one_error_line_and_exit_2(capsys):
+    # at the default int-from-string limit of 4,300 digits, an angle of
+    # 4,402 digits is refused while it is parsed, whatever the command
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int-to-str digit limit")
+    big = "1" + "0" * 4400 + "1"
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        for argv in (
+            ["classify", f"1/{big}"],
+            ["classify", f"{big}/3", "--json"],
+            ["certify", f"1/{big}"],
+            ["certify", f"-{big}/7", "--function", "cos"],
+        ):
+            assert run(argv) == 2, argv[0]
+            out, err = capsys.readouterr()
+            assert out == "", argv[0]
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv[0], err[:200])
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def test_poly_command(capsys):
     assert run(["poly", "7"]) == 0
     assert capsys.readouterr().out == "[-7, 35, -21, 1]\n"
@@ -409,6 +432,9 @@ def test_generator_commands_start_without_dataclasses():
     assert "trig_rational.highprec" not in scan, scan
     # the doubling lemma needs no polynomial: certify evaluates none
     assert "trig_rational.polynomial" not in certify, certify
+    # the classifier reads the reduced fraction and folds nothing; only
+    # classify's display loads the folds
+    assert "trig_rational.angle" not in certify, certify
     # the cross-check encloses values numerically and builds no polynomial
     crosscheck = _program_imports("scan", "--max-den", "3", "--crosscheck")
     assert "trig_rational.highprec" in crosscheck
@@ -502,6 +528,27 @@ def test_scan_into_a_closed_pipe_is_one_line_and_exit_1():
                 stdout=w, stderr=subprocess.PIPE, text=True, timeout=60,
             )
             assert (res.returncode, res.stderr) == (1, "error: stdout closed\nfrozen True\n")
+    finally:
+        os.close(w)
+
+
+def test_one_shot_commands_into_a_closed_pipe_are_one_line_and_exit_1():
+    # the reader is gone before anything is written; buffered, the output
+    # fails in main()'s flush, and unbuffered in the print itself
+    cert = to_json(certify(Fraction(1, 15)))
+    unbuffered = dict(os.environ, PYTHONUNBUFFERED="1")
+    buffered = {k: v for k, v in unbuffered.items() if k != "PYTHONUNBUFFERED"}
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        for args in (["classify", "1/15"], ["classify", "1/15", "--json"], ["certify", "1/15"],
+                     ["certify", "1/15", "--verify"], ["verify", "--json"]):
+            for env in (buffered, unbuffered):
+                res = subprocess.run(
+                    _module_cmd(*args), input=cert, stdout=w, stderr=subprocess.PIPE,
+                    text=True, env=env, timeout=60,
+                )
+                assert (res.returncode, res.stderr) == (1, "error: stdout closed\n"), args
     finally:
         os.close(w)
 

@@ -4,6 +4,8 @@ import concurrent.futures
 import hashlib
 import math
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -76,6 +78,33 @@ def test_eval_tan_squared_accepts_unreduced_input():
     # cos-style representatives above 1/2 fold into tan's range
     c = eval_tan_squared(ReducedAngle(5, 6), 64)
     assert (c.lo, c.hi) == (b.lo, b.hi)
+    # any lowest-terms d/n >= 0 is a ReducedAngle; the evaluators fold it like
+    # the rational d/n, so whole periods of cos change no enclosure
+    for n in (1, 2, 3, 4, 5, 6, 7, 12, 15):
+        for d in range(2 * n):
+            if gcd(d, n) != 1:
+                continue
+            for k in (1, 2, 7, 10**6):
+                angle = ReducedAngle(d + 2 * n * k, n)
+                assert eval_cos(angle, 64) == eval_cos(Fraction(d, n), 64), (d, n, k)
+                if n != 2:
+                    want = eval_tan_squared(Fraction(d, n), 64)
+                    assert eval_tan_squared(angle, 64) == want, (d, n, k)
+
+
+def test_eval_cos_of_a_reduced_angle_far_past_one_is_quick():
+    # unfolded, 30001/3 * pi ran the cos series at a theta near 31,400 for
+    # minutes; the child is killed if it is still running at the bound
+    code = (
+        "import time; from fractions import Fraction\n"
+        "from trig_rational.angle import ReducedAngle\n"
+        "from trig_rational.highprec import eval_cos\n"
+        "start = time.perf_counter()\n"
+        "iv = eval_cos(ReducedAngle(30001, 3), 64)\n"
+        "print(Fraction(1, 2) in iv, time.perf_counter() - start < 1)\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=20)
+    assert res.stdout == "True True\n", res.stdout + res.stderr
 
 
 def test_eval_tan_squared_pole_and_bad_bits():

@@ -1,6 +1,7 @@
 """Tests for the multiple-angle polynomials and rational root finding."""
 
 import random
+import time
 from fractions import Fraction
 from math import comb
 
@@ -25,6 +26,12 @@ def test_int_polynomial_normalizes():
     assert IntPolynomial(()).is_zero
     assert IntPolynomial((0, 0)).is_zero
     assert not IntPolynomial((0, 1)).is_zero
+    # trailing zeros pop off in linear time; a slice per zero took 3 s for 40,000
+    start = time.perf_counter()
+    assert IntPolynomial((1,) + (0,) * 200_000) == IntPolynomial((1,))
+    assert time.perf_counter() - start < 1
+    with pytest.raises(ValueError):
+        IntPolynomial(("x", 0))
 
 
 def test_eval_examples():
