@@ -3,38 +3,21 @@
 A certificate is the claim that tan^2(r*pi) (or tan, cos, cos^2) is a pole,
 an exact rational, or irrational: the input, the function and the verdict,
 which certify takes from classify.  The proof is a function of the input's
-reduced denominator n = 2^a * q (q odd) alone, so it does not travel: the
-verifier, the kernel (kernel.py), derives it and the verdict it entails from
-the input, and trusts neither the classifier nor this module.  From n it
-derives:
+reduced denominator alone, so it does not travel: the verifier, the kernel
+(kernel.py, whose docstring states the facts it rests on), derives it and
+the verdict it entails from the input, in exact arithmetic, and trusts
+neither the classifier nor this module.
 
-  * the base table, when n is one of 1, 2, 3, 4, 6 (the pole at 2);
-  * otherwise the doubling chain: a doublings take n down to q >= 5, or
-    a - 3 and a - 2 doublings down to the stops 8 and 12 for q = 1 and 3;
-    a rational tan^2 would stay rational along the way, and no doubling
-    meets the pole;
-  * at q >= 5, the doubling lemma: one more doubling lands on s = tan^2 at
-    an angle with reduced denominator q, a root of the monic integer
-    polynomial tan_squared_poly(q), so a rational s is an integer;
-    doubling keeps the denominator q, so T(s) = 4s/(1 - s)^2 and T(T(s))
-    would be integers too, which holds only at 0 and 3, the tan^2 at
-    denominators 1 and 3.  Neither side builds or evaluates the polynomial;
-  * at the stops 8 and 12, the backward quadratic: one more doubling hits
-    D = 1 or 1/3, so a rational tan^2 would be a rational root of an
-    integer quadratic whose discriminant is not a perfect square;
-  * for tan and cos, the square-root test: a rational square (tan^2, or
-    cos^2 = 1/(1 + tan^2)) with no rational root makes the value irrational.
-
-Every step is exact: no interval arithmetic is involved.  Serialization is
-strict JSON: rationals travel as "num/den" strings in lowest terms.  The
-kernel parses and checks on plain ints and shares no code or cache with this
-module; it rejects unknown fields, non-canonical numbers and version drift.
-This module loads the kernel only when it verifies or parses, so certify
-and to_json run without it; it keeps its own WIRE_VERSION, equal to the
-kernel's.  This module builds certificates, writes them, and maps them to
-and from the kernel's plain form.  The kernel's own names,
-verify_certificate_json, VerificationResult and CertificateFormatError, are
-read from the kernel or the package, not from here.
+Serialization is strict JSON: rationals travel as "num/den" strings in
+lowest terms.  The kernel parses and checks on plain ints and shares no code
+or cache with this module; it rejects unknown fields, non-canonical numbers
+and version drift.  This module builds certificates, writes them, and maps
+a claim to the kernel's plain form (_plain, which scan uses too).  Only the
+functions that verify or parse import the kernel, inside their bodies, so
+certify and to_json run without it; this module keeps its own WIRE_VERSION,
+equal to the kernel's.  The kernel's own names, verify_certificate_json,
+VerificationResult and CertificateFormatError, are read from the kernel or
+the package, not from here.
 """
 
 from __future__ import annotations
@@ -145,31 +128,6 @@ def exclude_candidate(
     return Exclusion(c, "nonroot", q_value=value) if value else Exclusion(c, "angle")
 
 
-# ------------------------------------------------------ the kernel --------
-# Loaded on first use, so that certify and to_json run without it.
-
-
-def _from_kernel(name: str):
-    """A stand-in for kernel.<name> that loads the kernel on its first call.
-
-    That call binds the module global to the kernel's function, so later
-    calls go straight there and run no import statement.
-    """
-
-    def stub(*args):
-        from . import kernel
-
-        globals()[name] = fn = getattr(kernel, name)
-        return fn(*args)
-
-    return stub
-
-
-check = _from_kernel("check")
-loads = _from_kernel("loads")
-parse = _from_kernel("parse")
-
-
 # ------------------------------------------- the kernel's plain form ------
 
 
@@ -178,14 +136,15 @@ def verify_certificate(cert: Certificate) -> VerificationResult:
 
     The classifier and the generator's caches are never consulted.
     """
-    return check(_plain(cert))
+    from .kernel import check
+
+    return check(_plain(cert.input, cert.function, cert.verdict))
 
 
-def _plain(cert: Certificate) -> tuple:
-    """The kernel's plain form of cert, as kernel.parse gives it for the wire tree."""
-    r, v = cert.input, cert.verdict
+def _plain(r: Fraction, function: str, v: TrigVerdict) -> tuple:
+    """The kernel's plain form of the claim, as kernel.parse gives it for the wire tree."""
     verdict = (v.kind,) if v.value is None else (v.kind, (v.value.numerator, v.value.denominator))
-    return WIRE_VERSION, (r.numerator, r.denominator), cert.function, verdict
+    return WIRE_VERSION, (r.numerator, r.denominator), function, verdict
 
 
 # ------------------------------------------------------------ wire --------
@@ -217,6 +176,8 @@ def certificate_from_tree(tree: object) -> Certificate:
     kernel.parse checks the tree; the message starts with a JSON path, such
     as verdict.value.
     """
+    from .kernel import parse
+
     _, (num, den), function, (kind, *value) = parse(tree)
     return Certificate(
         Fraction(num, den), function, TrigVerdict(kind, *(Fraction(*v) for v in value)))
@@ -237,4 +198,6 @@ def to_json(cert: Certificate) -> str:
 
 
 def from_json(text: str | bytes) -> Certificate:
+    from .kernel import loads
+
     return certificate_from_tree(loads(text))

@@ -274,23 +274,118 @@ def test_scan_with_crosscheck(capsys):
 
 
 def test_scan_catches_a_wrong_classifier(capsys, monkeypatch):
-    # certify proves classify's verdict, and the kernel derives the verdict
-    # from the input alone, so a wrong classifier fails the scan
-    from trig_rational import certifier
+    # certify and scan both claim classify's verdict, patched here at its
+    # dispatch table, and the kernel derives the verdict from the input
+    # alone, so a wrong classifier fails the scan
+    from trig_rational import classifier
     from trig_rational.certifier import verify_certificate
     from trig_rational.classifier import TrigVerdict
 
-    classify = certifier.classify
+    tan2 = classifier._DISPATCH["tan2"]
 
-    def wrong(r, f):
-        return TrigVerdict.exact(3) if (r, f) == (Fraction(1, 5), "tan2") else classify(r, f)
+    def wrong(r):
+        return TrigVerdict.exact(3) if r == Fraction(1, 5) else tan2(r)
 
-    monkeypatch.setattr(certifier, "classify", wrong)
+    monkeypatch.setitem(classifier._DISPATCH, "tan2", wrong)
     assert verify_certificate(certify(Fraction(1, 5))).reason == "verdict not entailed"
     assert run(["scan", "--max-den", "5"]) == 1
     out = capsys.readouterr().out
     assert "fail tan2 1/5: verdict not entailed\n" in out
     assert out.endswith("failures: 1\n")
+
+
+def test_scan_builds_no_certificate_record(capsys, monkeypatch):
+    # scan hands the kernel the plain form of each claim straight from classify
+    from trig_rational import certifier
+
+    def refuse(*args):
+        raise AssertionError("scan built a certificate record")
+
+    monkeypatch.setattr(certifier, "Certificate", refuse)
+    monkeypatch.setattr(certifier, "certify", refuse)
+    assert run(["scan", "--max-den", "30", "--crosscheck"]) == 0
+    assert capsys.readouterr().out == (
+        "scanned 278 angles with denominator <= 30\n"
+        "tan2: pole=1 exact=7 irrational=270\n"
+        "tan: pole=1 exact=3 irrational=274\n"
+        "cos2: pole=0 exact=8 irrational=270\n"
+        "cos: pole=0 exact=4 irrational=274\n"
+        "failures: 0\n"
+    )
+
+
+def _phi(n):
+    """Euler's totient, from the prime factors of n."""
+    result, m, p = n, n, 2
+    while p * p <= m:
+        if m % p == 0:
+            while m % p == 0:
+                m //= p
+            result -= result // p
+        p += 1
+    return result - result // m if m > 1 else result
+
+
+def _niven_cos(a, m):
+    """cos(a pi / m) when it is rational, else None.
+
+    Niven's theorem: at a rational multiple of pi, the only rational values
+    of cos are 0, +-1/2 and +-1, at reduced denominators 2, 3 and 1.
+    """
+    g = math.gcd(a, m)
+    a, m = a // g, m // g
+    if m == 1:
+        return Fraction((-1) ** a)
+    if m == 2:
+        return Fraction(0)
+    if m == 3:
+        return Fraction(1 if a % 6 in (1, 5) else -1, 2)
+    return None
+
+
+def _niven_summary(max_den):
+    """scan's summary at max_den, from Niven's theorem, without the package.
+
+    Every angle d/n counts once per function: 1 + sum of phi(n) over 2 <= n <= N.
+    With c = cos(2 d pi / n): tan^2 = (1 - c)/(1 + c), a pole at c = -1, and
+    cos^2 = (1 + c)/2, so both are rational exactly when c is; tan is
+    rational exactly when tan^2 is a rational square; cos is read directly.
+    """
+    angles = 1 + sum(_phi(n) for n in range(2, max_den + 1))
+    counts = {f: {"pole": 0, "exact": 0} for f in FUNCTIONS}
+    for n in range(1, min(max_den, 6) + 1):  # c is irrational past 6
+        for d in range(n):
+            if math.gcd(d, n) != 1:
+                continue
+            c = _niven_cos(2 * d, n)
+            if c == -1:
+                counts["tan2"]["pole"] += 1
+                counts["tan"]["pole"] += 1
+            elif c is not None:
+                t2 = (1 - c) / (1 + c)
+                counts["tan2"]["exact"] += 1
+                if all(math.isqrt(k) ** 2 == k for k in (t2.numerator, t2.denominator)):
+                    counts["tan"]["exact"] += 1
+            if c is not None:
+                counts["cos2"]["exact"] += 1
+            if _niven_cos(d, n) is not None:
+                counts["cos"]["exact"] += 1
+    lines = [f"scanned {angles} angles with denominator <= {max_den}"]
+    for f in FUNCTIONS:
+        pole, exact = counts[f]["pole"], counts[f]["exact"]
+        lines.append(f"{f}: pole={pole} exact={exact} irrational={angles - pole - exact}")
+    return "".join(line + "\n" for line in lines) + "failures: 0\n"
+
+
+def test_scan_totals_match_nivens_theorem(capsys, monkeypatch):
+    # the stripes' counts add up to the closed form at every J
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    for max_den in (1, 2, 3, 5, 6, 30, 97):
+        expected = _niven_summary(max_den)
+        for jobs in range(1, 5):
+            assert run(["scan", "--max-den", str(max_den), "--jobs", str(jobs)]) == 0
+            assert capsys.readouterr().out == expected, (max_den, jobs)
+    _assert_no_children()
 
 
 def test_scan_usage_errors(capsys):
@@ -407,7 +502,7 @@ def test_certify_of_a_seven_digit_prime_is_bounded():
     assert (res.returncode, res.stdout) == (0, "pass\n")
 
 
-def _program_imports(*args):
+def _program_imports(*args, stdin=None):
     """Modules a CLI command imports, from -X importtime, after site.
 
     What site's .pth files load is listed before site itself and is not the
@@ -415,7 +510,7 @@ def _program_imports(*args):
     """
     res = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "trig_rational", *args],
-        capture_output=True, text=True, check=True,
+        input=stdin, capture_output=True, text=True, check=True,
     )
     program = re.split(r"\| site$", res.stderr, flags=re.M)[-1]
     return set(re.findall(r"\| +([\w.]+)$", program, re.M))
@@ -427,6 +522,7 @@ def test_generator_commands_start_without_dataclasses():
     certify = _program_imports("certify", "1/15")
     scan = _program_imports("scan", "--max-den", "3")
     assert "trig_rational.certifier" in certify and "trig_rational.certifier" in scan
+    assert "trig_rational.scan" in scan
     for modules in (certify, scan):
         assert not modules & {"dataclasses", "inspect"}, modules
     assert "trig_rational.highprec" not in scan, scan
@@ -442,9 +538,13 @@ def test_generator_commands_start_without_dataclasses():
 
 
 def test_generator_commands_load_no_kernel():
-    # the kernel checks certificates; certify and classify only make them
-    for args in (("certify", "1/15"), ("classify", "1/15")):
-        assert "trig_rational.kernel" not in _program_imports(*args), args
+    # the kernel checks certificates; certify and classify only make them.
+    # certify writes by template, so it needs no json; only scan loads scan.py
+    generated = _program_imports("certify", "1/15")
+    assert not generated & {"trig_rational.kernel", "json", "trig_rational.scan"}, generated
+    assert "trig_rational.kernel" not in _program_imports("classify", "1/15")
+    verify = _program_imports("verify", stdin=to_json(certify(Fraction(1, 15))))
+    assert "trig_rational.scan" not in verify, verify
 
 
 def test_scan_loads_the_kernel_before_it_forks():
@@ -553,6 +653,25 @@ def test_one_shot_commands_into_a_closed_pipe_are_one_line_and_exit_1():
         os.close(w)
 
 
+def test_help_into_a_closed_pipe_is_one_line_and_exit_1():
+    # argparse ignores an error from its own write of the help text; the
+    # help is written so that main() sees it, buffered or not
+    unbuffered = dict(os.environ, PYTHONUNBUFFERED="1")
+    buffered = {k: v for k, v in unbuffered.items() if k != "PYTHONUNBUFFERED"}
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        for command in ([], ["classify"], ["certify"], ["verify"], ["scan"], ["poly"]):
+            for env in (buffered, unbuffered):
+                res = subprocess.run(
+                    _module_cmd(*command, "--help"), stdout=w, stderr=subprocess.PIPE,
+                    text=True, env=env, timeout=60,
+                )
+                assert (res.returncode, res.stderr) == (1, "error: stdout closed\n"), command
+    finally:
+        os.close(w)
+
+
 def test_scan_output_in_a_file_is_flushed_at_exit(tmp_path, capsys):
     # a file is block-buffered, so this output is written at exit, after
     # main() has frozen the collector
@@ -626,13 +745,13 @@ def test_scan_makes_tasks_as_it_goes(monkeypatch):
     # 3 of 10^6 must not have built a task list first (about 105 MB at that size)
     import tracemalloc
 
-    from trig_rational import cli
+    from trig_rational import scan as scan_module
 
     class Stop(Exception):
         pass
 
     calls = []
-    scan = cli._scan_denominator
+    scan = scan_module._scan_denominator
 
     def scan_denominator(n, check_numerics, bits):
         calls.append(n)
@@ -640,7 +759,7 @@ def test_scan_makes_tasks_as_it_goes(monkeypatch):
             raise Stop
         return scan(n, check_numerics, bits)
 
-    monkeypatch.setattr(cli, "_scan_denominator", scan_denominator)
+    monkeypatch.setattr(scan_module, "_scan_denominator", scan_denominator)
     tracemalloc.start()
     try:
         with pytest.raises(Stop):
@@ -675,17 +794,17 @@ def _assert_no_children():
 
 def test_scan_worker_that_dies_is_an_error(capsys, monkeypatch):
     # a stripe that exits without a result fails the scan instead of hanging it
-    from trig_rational import cli
+    from trig_rational import scan as scan_module
 
     parent = os.getpid()
-    scan = cli._scan_denominator
+    scan = scan_module._scan_denominator
 
     def scan_denominator(n, check_numerics, bits):
         if os.getpid() != parent:
             os._exit(3)
         return scan(n, check_numerics, bits)
 
-    monkeypatch.setattr(cli, "_scan_denominator", scan_denominator)
+    monkeypatch.setattr(scan_module, "_scan_denominator", scan_denominator)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     with _time_limit(60):
         assert run(["scan", "--max-den", "40", "--jobs", "2"]) == 1
@@ -696,7 +815,7 @@ def test_scan_worker_that_dies_is_an_error(capsys, monkeypatch):
 
 
 def test_scan_reaps_workers_when_its_own_stripe_raises(monkeypatch):
-    from trig_rational import cli
+    from trig_rational import scan as scan_module
 
     class Boom(Exception):
         pass
@@ -708,7 +827,7 @@ def test_scan_reaps_workers_when_its_own_stripe_raises(monkeypatch):
             time.sleep(60)  # still busy when the scan process gives up
         raise Boom
 
-    monkeypatch.setattr(cli, "_scan_denominator", scan_denominator)
+    monkeypatch.setattr(scan_module, "_scan_denominator", scan_denominator)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     with _time_limit(30), pytest.raises(Boom):
         run(["scan", "--max-den", "40", "--jobs", "4"])
@@ -770,17 +889,18 @@ cli.run(["scan", "--max-den", "1000000", "--jobs", "2"])
 
 def test_scan_failures_print_in_order_for_every_jobs(capsys, monkeypatch):
     # children inherit the patch; their failure lines come back in n order
-    from trig_rational import cli
+    from trig_rational import scan as scan_module
 
-    scan = cli._scan_denominator
+    scan = scan_module._scan_denominator
 
     def scan_denominator(n, check_numerics, bits):
         counts, failures = scan(n, check_numerics, bits)
         if n % 5 == 0:
-            failures = [f"fail {f} {d}/{n}: injected" for d in cli._numerators(n) for f in FUNCTIONS]
+            failures = [f"fail {f} {d}/{n}: injected"
+                        for d in scan_module._numerators(n) for f in FUNCTIONS]
         return counts, failures
 
-    monkeypatch.setattr(cli, "_scan_denominator", scan_denominator)
+    monkeypatch.setattr(scan_module, "_scan_denominator", scan_denominator)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     outputs = set()
     for jobs in range(1, 5):
@@ -793,7 +913,7 @@ def test_scan_failures_print_in_order_for_every_jobs(capsys, monkeypatch):
             _, f, angle, _ = line.split()
             d, n = map(int, angle.rstrip(":").split("/"))
             keys.append((n, d, FUNCTIONS.index(f)))
-    phi = sum(len(cli._numerators(n)) for n in range(5, 41, 5))
+    phi = sum(len(scan_module._numerators(n)) for n in range(5, 41, 5))
     assert len(keys) == 4 * phi and keys == sorted(keys)
     assert out.endswith(f"failures: {4 * phi}\n")
     _assert_no_children()
