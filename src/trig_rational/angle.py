@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact_core import FrozenRecord, _store, as_fraction, gcd, rational_sqrt
+from .exact_core import (
+    FrozenRecord, _cos_fold, _store, _tan_fold, as_fraction, gcd, rational_sqrt)
 
 __all__ = [
     "PoleError",
@@ -73,38 +74,14 @@ def reduce_for_tan(r: Fraction | int) -> ReducedAngle:
     tan((1-x)pi) = -tan(x pi), so x in (1/2, 1) maps to 1-x with sign -1.
     The pole representative 1/2 is kept as is.
     """
-    return ReducedAngle(*_tan_fold(r))
+    r = as_fraction(r)
+    return ReducedAngle(*_tan_fold(r.numerator, r.denominator))
 
 
 def reduce_for_cos(r: Fraction | int) -> ReducedAngle:
     """Fold r into [0, 1] using cos's period 2 and evenness."""
-    return ReducedAngle(*_cos_fold(r))
-
-
-def _tan_fold(r: Fraction | int) -> tuple[int, int, int]:
-    """reduce_for_tan as a plain (d, n, sign), for the per-angle hot paths."""
     r = as_fraction(r)
-    den = r.denominator
-    num = r.numerator % den
-    if num == 0:
-        return 0, 1, 1
-    if 2 * num > den:
-        return den - num, den, -1
-    return num, den, 1
-
-
-def _cos_fold(r: Fraction | int) -> tuple[int, int]:
-    """reduce_for_cos as a plain (d, n)."""
-    r = as_fraction(r)
-    den = r.denominator
-    num = r.numerator % (2 * den)
-    if num > den:
-        num = 2 * den - num
-    if num == 0:
-        return 0, 1
-    if num == den:
-        return 1, 1
-    return num, den
+    return ReducedAngle(*_cos_fold(r.numerator, r.denominator))
 
 
 def odd_part(n: int) -> tuple[int, int]:

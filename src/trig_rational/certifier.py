@@ -11,11 +11,13 @@ neither the classifier nor this module.
 Serialization is strict JSON: rationals travel as "num/den" strings in
 lowest terms.  The kernel parses and checks on plain ints and shares no code
 or cache with this module; it rejects unknown fields, non-canonical numbers
-and version drift.  This module builds certificates, writes them, and maps
-a claim to the kernel's plain form (_plain, which scan uses too).  Only the
-functions that verify or parse import the kernel, inside their bodies, so
-certify and to_json run without it; this module keeps its own WIRE_VERSION,
-equal to the kernel's.  The kernel's own names, verify_certificate_json,
+and version drift.  This module builds certificates and writes them;
+verify_certificate hands the kernel the claim's plain form, which the
+classifier builds next to TrigVerdict (classifier._plain, which scan uses
+too, without this module).  Only the functions that verify or parse import
+the kernel, inside their bodies, so certify and to_json run without it; the
+generator keeps its own WIRE_VERSION (the classifier's), equal to the
+kernel's.  The kernel's own names, verify_certificate_json,
 VerificationResult and CertificateFormatError, are read from the kernel or
 the package, not from here.
 """
@@ -25,10 +27,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import FUNCTIONS
-from .classifier import TrigVerdict, classify
+from .classifier import WIRE_VERSION, TrigVerdict, _plain, classify
 from .exact_core import FrozenRecord, _store, as_fraction, gcd
-
-WIRE_VERSION = 5  # the kernel's WIRE_VERSION, which a test pins it to
 
 __all__ = [
     "WIRE_VERSION",
@@ -128,7 +128,7 @@ def exclude_candidate(
     return Exclusion(c, "nonroot", q_value=value) if value else Exclusion(c, "angle")
 
 
-# ------------------------------------------- the kernel's plain form ------
+# ------------------------------------------------------------ verify ------
 
 
 def verify_certificate(cert: Certificate) -> VerificationResult:
@@ -138,13 +138,8 @@ def verify_certificate(cert: Certificate) -> VerificationResult:
     """
     from .kernel import check
 
-    return check(_plain(cert.input, cert.function, cert.verdict))
-
-
-def _plain(r: Fraction, function: str, v: TrigVerdict) -> tuple:
-    """The kernel's plain form of the claim, as kernel.parse gives it for the wire tree."""
-    verdict = (v.kind,) if v.value is None else (v.kind, (v.value.numerator, v.value.denominator))
-    return WIRE_VERSION, (r.numerator, r.denominator), function, verdict
+    r = cert.input
+    return check(_plain(r.numerator, r.denominator, cert.function, cert.verdict))
 
 
 # ------------------------------------------------------------ wire --------

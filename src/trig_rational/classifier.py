@@ -6,7 +6,9 @@ fraction d/n, by n alone for tan^2 and cos^2 and by n with the residue of d
 mod n (tan) or mod 2n (cos) for the signed functions.  The rational values
 are scarce: tan^2 takes {0, 1, 1/3, 3}, tan takes {0, -1, 1}, cos takes
 {0, +-1, +-1/2} and cos^2 takes {0, 1, 1/2, 1/4, 3/4}; everything else is
-irrational.
+irrational.  classify reads one function's verdict off its table, and
+_verdicts all four of an angle's, on plain ints, for scan; _plain is the
+kernel's plain form of a claim, which verify_certificate and scan check.
 """
 
 from __future__ import annotations
@@ -55,6 +57,18 @@ class TrigVerdict(FrozenRecord):
 POLE = TrigVerdict("pole")
 IRRATIONAL = TrigVerdict("irrational")
 
+WIRE_VERSION = 5  # the kernel's WIRE_VERSION, which a test pins it to
+
+
+def _plain(num: int, den: int, function: str, v: TrigVerdict) -> tuple:
+    """The kernel's plain form of the claim v on function(num/den * pi), num/den in lowest terms.
+
+    It is what kernel.parse gives for the claim's wire tree; verify_certificate
+    and scan hand it to kernel.check.
+    """
+    verdict = (v.kind,) if v.value is None else (v.kind, (v.value.numerator, v.value.denominator))
+    return WIRE_VERSION, (num, den), function, verdict
+
 
 # the verdicts at the base denominators, read off the reduced d/n: tan^2 and
 # cos^2 = 1/(1 + tan^2) by n alone, tan by (n, d mod n) as it has period 1,
@@ -97,6 +111,20 @@ def classify_cos(r: Fraction | int) -> TrigVerdict:
     """cos(r*pi): exact only at reduced denominators 1, 2, 3."""
     r = as_fraction(r)
     return _COS_VERDICTS.get((r.denominator, r.numerator % (2 * r.denominator)), IRRATIONAL)
+
+
+def _verdicts(num: int, den: int) -> tuple[TrigVerdict, TrigVerdict, TrigVerdict, TrigVerdict]:
+    """The verdicts on tan^2, tan, cos^2 and cos (FUNCTIONS order) at num/den * pi.
+
+    num/den is in lowest terms with den >= 1; the verdicts are read off the
+    same tables as classify's, by den and the residue of num.
+    """
+    return (
+        _TAN2_VERDICTS.get(den, IRRATIONAL),
+        _TAN_VERDICTS.get((den, num % den), IRRATIONAL),
+        _COS2_VERDICTS.get(den, IRRATIONAL),
+        _COS_VERDICTS.get((den, num % (2 * den)), IRRATIONAL),
+    )
 
 
 def classify(r: Fraction | int, function: str) -> TrigVerdict:

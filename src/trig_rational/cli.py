@@ -53,12 +53,12 @@ def _parse_angle(text: str) -> Fraction:
 
 
 def _human_angle(r: Fraction, function: str) -> str:
-    from .angle import _cos_fold, _tan_fold
+    from .exact_core import _cos_fold, _tan_fold
 
     if function == "cos":
-        d, n = _cos_fold(r)
+        d, n = _cos_fold(r.numerator, r.denominator)
         return f"{d}/{n}"
-    d, n, sign = _tan_fold(r)
+    d, n, sign = _tan_fold(r.numerator, r.denominator)
     minus = "-" if function == "tan" and sign < 0 else ""
     return f"{minus}{d}/{n}"
 

@@ -5,8 +5,9 @@ Integers are plain Python ``int`` (arbitrary precision).  Rationals are
 positive denominator on construction, so structural equality is semantic
 equality; callers build them with Fraction and take floor square roots and
 binomial coefficients from math.isqrt and math.comb.  The divisor
-enumeration and the exact rational square root are written here, and so is
-FrozenRecord, the base of the package's immutable value types.
+enumeration, the exact rational square root and the period folds of tan and
+cos are written here, and so is FrozenRecord, the base of the package's
+immutable value types.
 """
 
 from __future__ import annotations
@@ -61,6 +62,32 @@ def rational_sqrt(q: Fraction | int) -> Fraction | None:
     if rn * rn == q.numerator and rd * rd == q.denominator:
         return Fraction(rn, rd)
     return None
+
+
+def _tan_fold(num: int, den: int) -> tuple[int, int, int]:
+    """num/den (lowest terms, den >= 1) folded into [0, 1/2] as (d, n, sign).
+
+    tan has period 1 and is odd: x in (1/2, 1) maps to 1 - x with sign -1,
+    and the pole 1/2 is kept as is.
+    """
+    num %= den
+    if num == 0:
+        return 0, 1, 1
+    if 2 * num > den:
+        return den - num, den, -1
+    return num, den, 1
+
+
+def _cos_fold(num: int, den: int) -> tuple[int, int]:
+    """num/den (lowest terms, den >= 1) folded into [0, 1] by cos's period 2 and evenness."""
+    num %= 2 * den
+    if num > den:
+        num = 2 * den - num
+    if num == 0:
+        return 0, 1
+    if num == den:
+        return 1, 1
+    return num, den
 
 
 # A record's __init__ stores its fields with this, past FrozenRecord.__setattr__;

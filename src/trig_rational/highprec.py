@@ -19,12 +19,17 @@ A published enclosure is an integer centre c on the grid G = 2^(bits+4): the
 interval [(c-8)/G, (c+8)/G], so the width is exactly 2^-bits (within the
 2^(1-bits) contract) and enclosures at higher bit counts nest inside those
 at lower ones by construction.  The public evaluators return it as a
-RatInterval; `crosscheck` never builds one and compares values p/q with it
-by cross-multiplying integers, an irrational claim on the coarsest
-enclosure that settles it.  Three bounded LRU caches hold the work: pi per
-scale; the raw cos enclosure per angle folded into [0, 1/2] and bits, which
-cos negates and snaps per sign and tan^2 divides; and the tan^2 centre per
-angle folded into [0, 1/2] and bits, which tan^2, tan and cos^2 share.
+RatInterval; the cross-check never builds one and compares values p/q with
+it by cross-multiplying integers, an irrational claim on the coarsest
+enclosure that settles it.  It takes the claims of one angle together
+(_crosscheck_angle: scan passes all four, `crosscheck` one): the angle is
+folded once for tan and once for cos, with exact_core's integer folds, so no
+angle module is loaded, and one test of the tan^2 enclosure decides every
+irrational tan^2, tan and cos^2 claim.  Three bounded LRU caches hold the
+work: pi per scale; the raw cos enclosure per angle folded into [0, 1/2] and
+bits, which cos negates and snaps per sign and tan^2 divides; and the tan^2
+centre per angle folded into [0, 1/2] and bits, which tan^2, tan and cos^2
+share.
 """
 
 from __future__ import annotations
@@ -33,10 +38,13 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .angle import PoleError, ReducedAngle, _cos_fold, _tan_fold
-from .exact_core import FrozenRecord, _store, as_fraction
+from . import FUNCTIONS
+from .exact_core import FrozenRecord, _cos_fold, _store, _tan_fold, as_fraction
 
-if TYPE_CHECKING:  # annotations only: the cross-check builds no polynomial or verdict
+if TYPE_CHECKING:  # annotations only: the cross-check loads no angle, polynomial or verdict
+    from collections.abc import Iterable
+
+    from .angle import ReducedAngle
     from .classifier import TrigVerdict
     from .polynomial import IntPolynomial
 
@@ -207,8 +215,10 @@ def eval_tan_squared(angle: ReducedAngle | Fraction | int, bits: int) -> RatInte
     division as the angle nears the pole.
     """
     _check_bits(bits)
-    d, n, _ = _tan_fold(_rational(angle))
+    d, n, _ = _tan_fold(*_ratio(angle))
     if n == 2:
+        from .angle import PoleError
+
         raise PoleError("tan^2 has a pole at denominator 2")
     return _published(_tan2_centre(d, n, bits), bits)
 
@@ -237,7 +247,7 @@ def _tan2_centre(d: int, n: int, bits: int) -> int:
 def eval_cos(angle: ReducedAngle | Fraction | int, bits: int) -> RatInterval:
     """Certified enclosure of cos(angle * pi), width 2^-bits, bits in [MIN_BITS, MAX_BITS]."""
     _check_bits(bits)
-    d, n = _cos_fold(_rational(angle))
+    d, n = _cos_fold(*_ratio(angle))
     return _published(_cos_centre(d, n, bits), bits)
 
 
@@ -266,9 +276,15 @@ def _cos_raw(d: int, n: int, bits: int) -> tuple[int, int, int]:
         guard *= 2
 
 
-def _rational(angle: ReducedAngle | Fraction | int) -> Fraction | int:
-    """A ReducedAngle read as its fraction, its sign ignored; any other angle as it is."""
-    return angle.fraction if isinstance(angle, ReducedAngle) else angle
+def _ratio(angle: ReducedAngle | Fraction | int) -> tuple[int, int]:
+    """The angle as num, den in lowest terms; a ReducedAngle's sign is ignored."""
+    if not isinstance(angle, (int, Fraction)):
+        from .angle import ReducedAngle  # only an angle of another type loads angle.py
+
+        if isinstance(angle, ReducedAngle):
+            return angle.d, angle.n
+    r = as_fraction(angle)
+    return r.numerator, r.denominator
 
 
 def interval_eval(p: IntPolynomial, iv: RatInterval, bits: int) -> RatInterval:
@@ -297,7 +313,7 @@ def eval_poly_at_tan_squared(
     that would pass MAX_BITS raises ValueError.
     """
     _check_bits(bits)
-    target = Fraction(_tan_fold(_rational(angle))[1] ** 3, 1 << (bits - 8))
+    target = Fraction(_tan_fold(*_ratio(angle))[1] ** 3, 1 << (bits - 8))
     b = bits
     while True:
         iv = eval_tan_squared(angle, b)
@@ -314,11 +330,10 @@ def eval_poly_at_tan_squared(
 # ---------------------------------------------------------- crosscheck ----
 
 # exceptional values of tan^2 as (numerator, denominator) pairs, denominator
-# > 0; cos^2 = 1/(1 + tan^2) takes 1, 1/2, 3/4 and 1/4 exactly where tan^2
-# takes these, and 0 only at the pole
+# > 0, in this order: tan is rational iff tan^2 is one of the first two, and
+# cos^2 = 1/(1 + tan^2) takes 1, 1/2, 3/4 and 1/4 exactly where tan^2 takes
+# these four, and 0 only at the pole
 _EXCEPTIONAL_TAN2 = ((0, 1), (1, 1), (1, 3), (3, 1))
-# tan is rational iff tan^2 is 0 or 1
-_EXCEPTIONAL_TAN2_FOR_TAN = ((0, 1), (1, 1))
 _EXCEPTIONAL_COS = ((0, 1), (1, 1), (-1, 1), (1, 2), (-1, 2))
 
 
@@ -354,40 +369,75 @@ def crosscheck(
     so they still share one cos series.
     """
     _check_bits(bits)
-    kind = verdict.kind
-    if function == "cos":
-        if kind == "pole":
-            return False
-        d, n = _cos_fold(r)
-        centre, values = _cos_centre, _EXCEPTIONAL_COS
-    elif function in ("tan2", "tan", "cos2"):
-        d, n, sign = _tan_fold(r)
-        if n == 2:
-            if function == "cos2":
-                return kind == "exact" and verdict.value == 0
-            return kind == "pole"
-        if kind == "pole":
-            return False
-        centre = _tan2_centre
-        values = _EXCEPTIONAL_TAN2_FOR_TAN if function == "tan" else _EXCEPTIONAL_TAN2
-    else:
+    if function not in FUNCTIONS:
         raise ValueError(f"unknown function {function!r}")
-    if kind != "exact":
-        b = max(32, 2 * n.bit_length() + 8)
-        c, g = centre(d, n, b), 1 << (b + 4)
-        for p, q in values:
-            if (c - 8) * q <= p * g <= (c + 8) * q:
-                return False
-        return True
-    v = as_fraction(verdict.value)
-    p, q = v.numerator, v.denominator
-    if function == "cos2":
-        if p <= 0:
-            return False
-        p, q = q - p, p
-    elif function == "tan":
-        if p != 0 and (p > 0) != (sign > 0):
-            return False
-        p, q = p * p, q * q
-    c, g = centre(d, n, bits), 1 << (bits + 4)
-    return (c - 8) * q <= p * g <= (c + 8) * q
+    r = as_fraction(r)
+    return _crosscheck_angle(r.numerator, r.denominator, ((function, verdict),), bits)[0]
+
+
+def _crosscheck_angle(num: int, den: int, claims: Iterable, bits: int) -> list[bool]:
+    """crosscheck of each claim (function, verdict) on the angle num/den.
+
+    num/den is in lowest terms with den >= 1, and each function is one of
+    FUNCTIONS.  The angle is folded once for tan and once for cos.  One test
+    of the tan^2 enclosure at w0 against 0, 1, 1/3 and 3 decides every
+    irrational tan^2, tan and cos^2 claim; an exact one becomes the tan^2
+    value it implies, read on the tan^2 enclosure at bits.  cos is checked
+    on its own enclosure.
+    """
+    w0 = max(32, 2 * den.bit_length() + 8)
+    d, n, sign = _tan_fold(num, den)
+    held = None  # the first exceptional tan^2 value that the enclosure at w0 holds
+    results = []
+    for function, verdict in claims:
+        kind = verdict.kind
+        if function == "cos":
+            if kind == "pole":
+                ok = False
+            else:
+                cd, cn = _cos_fold(num, den)
+                if kind != "exact":
+                    held_cos = _first_held(_cos_centre(cd, cn, w0), w0, _EXCEPTIONAL_COS)
+                    ok = held_cos == len(_EXCEPTIONAL_COS)
+                else:
+                    v = as_fraction(verdict.value)
+                    c = _cos_centre(cd, cn, bits)
+                    ok = _first_held(c, bits, ((v.numerator, v.denominator),)) == 0
+        elif n == 2:
+            if function == "cos2":
+                ok = kind == "exact" and verdict.value == 0
+            else:
+                ok = kind == "pole"
+        elif kind == "pole":
+            ok = False
+        elif kind != "exact":
+            if held is None:
+                held = _first_held(_tan2_centre(d, n, w0), w0, _EXCEPTIONAL_TAN2)
+            ok = held >= (2 if function == "tan" else len(_EXCEPTIONAL_TAN2))
+        else:
+            v = as_fraction(verdict.value)
+            p, q = v.numerator, v.denominator
+            if function == "cos2":  # cos^2 = p/q is tan^2 = (q - p)/p
+                ok = p > 0
+                p, q = q - p, p
+            elif function == "tan":
+                ok = p == 0 or (p > 0) == (sign > 0)
+                p, q = p * p, q * q
+            else:
+                ok = True
+            ok = ok and _first_held(_tan2_centre(d, n, bits), bits, ((p, q),)) == 0
+        results.append(ok)
+    return results
+
+
+def _first_held(c: int, b: int, values: tuple) -> int:
+    """Index of the first (p, q), q > 0, whose p/q lies in [c - 8, c + 8] / 2^(b+4).
+
+    len(values) when none does.
+    """
+    g = 1 << (b + 4)
+    lo, hi = c - 8, c + 8
+    for i, (p, q) in enumerate(values):
+        if lo * q <= p * g <= hi * q:
+            return i
+    return len(values)

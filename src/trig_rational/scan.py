@@ -1,9 +1,13 @@
 """The scan command: classify and check every reduced angle up to a denominator.
 
-Each angle d/n and function is classified once, and the kernel checks the
-plain form of that claim (certifier._plain), so scan builds no Certificate
-record; a wrong classifier still fails with "verdict not entailed".  With
-the cross-check, highprec encloses each value numerically too.
+Scan works one angle at a time on plain ints (d, n): one call reads the
+four verdicts off the classifier's residue tables (classifier._verdicts),
+and the kernel checks the plain form of each claim (classifier._plain), so
+scan builds no Fraction or Certificate record and loads neither certifier.py
+nor angle.py; a wrong classifier still fails with "verdict not entailed".
+With the cross-check, highprec checks the four claims of the angle in one
+call too (highprec._crosscheck_angle).  A claim the kernel rejects is
+reported once, as the kernel's failure; an angle's lines follow FUNCTIONS.
 
 `scan --jobs J` splits the odd parts q into J stripes, each taking q, 2q, 4q,
 ... in turn; the scan process loads the package once, forks J - 1 children
@@ -20,14 +24,14 @@ import io
 import json
 import os
 import sys
-from fractions import Fraction
 from math import gcd
 
 # loaded once, before any fork, so every stripe inherits them compiled
 from . import FUNCTIONS
-from .certifier import _plain
-from .classifier import classify
+from .classifier import _plain, _verdicts
 from .kernel import check
+
+_UNCHECKED = (True,) * len(FUNCTIONS)  # the cross-check results without a cross-check
 
 
 def _numerators(n: int) -> list[int]:
@@ -38,18 +42,20 @@ def _numerators(n: int) -> list[int]:
 
 def _scan_denominator(n: int, check_numerics: bool, bits: int) -> tuple[dict, list[str]]:
     if check_numerics:
-        from .highprec import crosscheck
+        from .highprec import _crosscheck_angle
     counts = {f: {"pole": 0, "exact": 0, "irrational": 0} for f in FUNCTIONS}
     failures: list[str] = []
+    numeric = _UNCHECKED
     for d in _numerators(n):
-        r = Fraction(d, n)
-        for f in FUNCTIONS:
-            verdict = classify(r, f)
+        verdicts = _verdicts(d, n)
+        if check_numerics:
+            numeric = _crosscheck_angle(d, n, zip(FUNCTIONS, verdicts), bits)
+        for f, verdict, ok in zip(FUNCTIONS, verdicts, numeric):
             counts[f][verdict.kind] += 1
-            result = check(_plain(r, f, verdict))
+            result = check(_plain(d, n, f, verdict))
             if not result:
                 failures.append(f"fail {f} {d}/{n}: {result.reason}")
-            elif check_numerics and not crosscheck(r, f, verdict, bits=bits):
+            elif not ok:
                 failures.append(f"fail {f} {d}/{n}: numeric cross-check")
     return counts, failures
 

@@ -10,8 +10,6 @@ from hypothesis import given, settings, strategies as st
 from trig_rational import certifier
 from trig_rational.angle import (
     ReducedAngle,
-    _cos_fold,
-    _tan_fold,
     doubling_chain,
     integer_double_angle_preimages,
     invert_double_angle,
@@ -20,7 +18,7 @@ from trig_rational.angle import (
     reduce_for_tan,
 )
 from trig_rational.classifier import classify_tan_squared
-from trig_rational.exact_core import gcd
+from trig_rational.exact_core import _cos_fold, _tan_fold, gcd
 
 
 def _double(t):
@@ -92,7 +90,7 @@ def test_reduce_for_cos_properties():
 
 
 class _SubFraction(Fraction):
-    """A Fraction subclass: the folds must read it like a plain Fraction."""
+    """A Fraction subclass: reduce_for_tan and reduce_for_cos must read it like a plain Fraction."""
 
 
 _BIG = st.integers(-(10**30), 10**30)
@@ -116,18 +114,18 @@ def test_int_folds_match_reduced_angles(num, den, form, a, q, k1, k2):
     t_ref = (1 - t, -1) if 2 * t > 1 else (t, 1)
     c = r - 2 * math.floor(r / 2)
     c = 2 - c if c > 1 else c
-    tan = _tan_fold(x)
+    tan, cos = _tan_fold(r.numerator, r.denominator), _cos_fold(r.numerator, r.denominator)
     assert tan == (t_ref[0].numerator, t_ref[0].denominator, t_ref[1])
-    assert _cos_fold(x) == (c.numerator, c.denominator)
-    assert all(type(v) is int for v in tan + _cos_fold(x))
+    assert cos == (c.numerator, c.denominator)
+    assert all(type(v) is int for v in tan + cos)
     red, redc = reduce_for_tan(x), reduce_for_cos(x)
     assert tan == (red.d, red.n, red.sign)
-    assert _cos_fold(x) == (redc.d, redc.n) and redc.sign == 1
+    assert cos == (redc.d, redc.n) and redc.sign == 1
     # numerators 2qk + 1 are coprime to n = 2^a q, so both angles reduce to n,
     # and their tan^2 and cos^2 certificates claim one verdict
     n = q << a
     r1, r2 = Fraction(2 * q * k1 + 1, n), Fraction(2 * q * k2 + 1, n)
-    assert _tan_fold(r1)[1] == _tan_fold(r2)[1] == n
+    assert _tan_fold(r1.numerator, n)[1] == _tan_fold(r2.numerator, n)[1] == n
     for f in ("tan2", "cos2"):
         assert certifier.certify(r1, f).verdict == certifier.certify(r2, f).verdict
 

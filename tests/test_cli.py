@@ -116,6 +116,124 @@ def test_usage_errors(capsys):
         assert "error:" in capsys.readouterr().err
 
 
+# The help of the top level and of every command, and one argparse usage
+# error of each, byte for byte at 80 columns: argparse writes them, so a
+# change to how the parser is built must leave them as they are.  They read
+# the same on Python 3.10 to 3.13.
+_HELP = {
+    "": (
+        "usage: trig-rational [-h] {classify,certify,verify,scan,poly} ...\n"
+        "\n"
+        "Classify tan^2, tan, cos^2 and cos at rational multiples of pi.\n"
+        "\n"
+        "positional arguments:\n"
+        "  {classify,certify,verify,scan,poly}\n"
+        "    classify            print the verdict for one angle\n"
+        "    certify             print a verdict certificate as JSON\n"
+        "    verify              check a certificate (file or stdin)\n"
+        "    scan                sweep all reduced angles up to a denominator\n"
+        "    poly                print the tan^2 polynomial for odd n\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+    ),
+    "classify": (
+        "usage: trig-rational classify [-h] [--function {tan2,tan,cos2,cos}] [--json]\n"
+        "                              angle\n"
+        "\n"
+        "positional arguments:\n"
+        "  angle                 rational multiple of pi, as d/n or d\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --function {tan2,tan,cos2,cos}\n"
+        "  --json\n"
+    ),
+    "certify": (
+        "usage: trig-rational certify [-h] [--function {tan2,tan,cos2,cos}] [--verify]\n"
+        "                             angle\n"
+        "\n"
+        "positional arguments:\n"
+        "  angle                 rational multiple of pi, as d/n or d\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --function {tan2,tan,cos2,cos}\n"
+        "  --verify              re-verify before printing\n"
+    ),
+    "verify": (
+        "usage: trig-rational verify [-h] [--json] [file]\n"
+        "\n"
+        "positional arguments:\n"
+        "  file        certificate path, - for stdin\n"
+        "\n"
+        "options:\n"
+        "  -h, --help  show this help message and exit\n"
+        "  --json\n"
+    ),
+    "scan": (
+        "usage: trig-rational scan [-h] --max-den MAX_DEN [--jobs JOBS] [--bits BITS]\n"
+        "                          [--crosscheck]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help         show this help message and exit\n"
+        "  --max-den MAX_DEN\n"
+        "  --jobs JOBS\n"
+        "  --bits BITS        cross-check precision\n"
+        "  --crosscheck       also cross-check numerically\n"
+    ),
+    "poly": (
+        "usage: trig-rational poly [-h] n\n"
+        "\n"
+        "positional arguments:\n"
+        "  n\n"
+        "\n"
+        "options:\n"
+        "  -h, --help  show this help message and exit\n"
+    ),
+}
+_USAGE_ERRORS = {
+    (): (
+        "usage: trig-rational [-h] {classify,certify,verify,scan,poly} ...\n"
+        "trig-rational: error: the following arguments are required: command\n"
+    ),
+    ("classify",): (
+        "usage: trig-rational classify [-h] [--function {tan2,tan,cos2,cos}] [--json]\n"
+        "                              angle\n"
+        "trig-rational classify: error: the following arguments are required: angle\n"
+    ),
+    ("certify",): (
+        "usage: trig-rational certify [-h] [--function {tan2,tan,cos2,cos}] [--verify]\n"
+        "                             angle\n"
+        "trig-rational certify: error: the following arguments are required: angle\n"
+    ),
+    ("verify", "--json=1"): (
+        "usage: trig-rational verify [-h] [--json] [file]\n"
+        "trig-rational verify: error: argument --json: ignored explicit argument '1'\n"
+    ),
+    ("scan", "--max-den", "x"): (
+        "usage: trig-rational scan [-h] --max-den MAX_DEN [--jobs JOBS] [--bits BITS]\n"
+        "                          [--crosscheck]\n"
+        "trig-rational scan: error: argument --max-den: invalid int value: 'x'\n"
+    ),
+    ("poly", "x"): (
+        "usage: trig-rational poly [-h] n\n"
+        "trig-rational poly: error: argument n: invalid int value: 'x'\n"
+    ),
+}
+
+
+def test_help_and_usage_errors_are_pinned(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for command, text in _HELP.items():
+        argv = [command, "--help"] if command else ["--help"]
+        assert run(argv) == 0, argv
+        assert capsys.readouterr() == (text, ""), argv
+    for argv, text in _USAGE_ERRORS.items():
+        assert run(list(argv)) == 2, argv
+        assert capsys.readouterr() == ("", text), argv
+
+
 def test_inputs_past_the_digit_limit_are_one_error_line_and_exit_2(capsys):
     # at the default int-from-string limit of 4,300 digits, an angle of
     # 4,402 digits is refused while it is parsed, whatever the command
@@ -274,24 +392,20 @@ def test_scan_with_crosscheck(capsys):
 
 
 def test_scan_catches_a_wrong_classifier(capsys, monkeypatch):
-    # certify and scan both claim classify's verdict, patched here at its
-    # dispatch table, and the kernel derives the verdict from the input
-    # alone, so a wrong classifier fails the scan
+    # certify and scan both read their verdicts off the classifier's residue
+    # tables, patched here, and the kernel derives the verdict from the input
+    # alone, so a wrong table entry fails certify and every angle it covers
     from trig_rational import classifier
     from trig_rational.certifier import verify_certificate
     from trig_rational.classifier import TrigVerdict
 
-    tan2 = classifier._DISPATCH["tan2"]
-
-    def wrong(r):
-        return TrigVerdict.exact(3) if r == Fraction(1, 5) else tan2(r)
-
-    monkeypatch.setitem(classifier._DISPATCH, "tan2", wrong)
+    monkeypatch.setitem(classifier._TAN2_VERDICTS, 5, TrigVerdict.exact(3))
     assert verify_certificate(certify(Fraction(1, 5))).reason == "verdict not entailed"
     assert run(["scan", "--max-den", "5"]) == 1
     out = capsys.readouterr().out
     assert "fail tan2 1/5: verdict not entailed\n" in out
-    assert out.endswith("failures: 1\n")
+    assert out.startswith("".join(f"fail tan2 {d}/5: verdict not entailed\n" for d in range(1, 5)))
+    assert out.endswith("failures: 4\n")
 
 
 def test_scan_builds_no_certificate_record(capsys, monkeypatch):
@@ -521,20 +635,23 @@ def test_generator_commands_start_without_dataclasses():
     # module it pulls in is loaded, and scan loads highprec only to cross-check
     certify = _program_imports("certify", "1/15")
     scan = _program_imports("scan", "--max-den", "3")
-    assert "trig_rational.certifier" in certify and "trig_rational.certifier" in scan
+    assert "trig_rational.certifier" in certify
     assert "trig_rational.scan" in scan
     for modules in (certify, scan):
         assert not modules & {"dataclasses", "inspect"}, modules
     assert "trig_rational.highprec" not in scan, scan
     # the doubling lemma needs no polynomial: certify evaluates none
     assert "trig_rational.polynomial" not in certify, certify
-    # the classifier reads the reduced fraction and folds nothing; only
-    # classify's display loads the folds
+    # the classifier reads the reduced fraction and folds nothing
     assert "trig_rational.angle" not in certify, certify
-    # the cross-check encloses values numerically and builds no polynomial
+    # the cross-check encloses values numerically and builds no polynomial;
+    # scan hands the kernel plain claims, and the folds are integer helpers,
+    # so neither the certificate records nor the angle records are loaded
     crosscheck = _program_imports("scan", "--max-den", "3", "--crosscheck")
     assert "trig_rational.highprec" in crosscheck
-    assert "trig_rational.polynomial" not in crosscheck, crosscheck
+    for modules in (scan, crosscheck):
+        assert not modules & {
+            "trig_rational.polynomial", "trig_rational.certifier", "trig_rational.angle"}, modules
 
 
 def test_generator_commands_load_no_kernel():
@@ -916,6 +1033,40 @@ def test_scan_failures_print_in_order_for_every_jobs(capsys, monkeypatch):
     phi = sum(len(scan_module._numerators(n)) for n in range(5, 41, 5))
     assert len(keys) == 4 * phi and keys == sorted(keys)
     assert out.endswith(f"failures: {4 * phi}\n")
+    _assert_no_children()
+
+
+def test_scan_reports_each_claim_once_in_function_order(capsys, monkeypatch):
+    # at n = 5 the tan2 table claims 3, which the kernel rejects (the
+    # cross-check would too, but a claim the kernel rejects is reported only
+    # once); at 1/5 cos's enclosure is moved onto 1/2, which only the
+    # cross-check sees.  One angle's lines follow FUNCTIONS, for every --jobs
+    from trig_rational import classifier, highprec
+    from trig_rational.classifier import TrigVerdict
+
+    monkeypatch.setitem(classifier._TAN2_VERDICTS, 5, TrigVerdict.exact(3))
+    cos_centre = highprec._cos_centre
+
+    def moved(d, n, bits):
+        return 1 << (bits + 3) if (d, n) == (1, 5) else cos_centre(d, n, bits)
+
+    monkeypatch.setattr(highprec, "_cos_centre", moved)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for jobs in ("1", "2"):
+        assert run(["scan", "--max-den", "5", "--crosscheck", "--jobs", jobs]) == 1
+        assert capsys.readouterr().out == (
+            "fail tan2 1/5: verdict not entailed\n"
+            "fail cos 1/5: numeric cross-check\n"
+            "fail tan2 2/5: verdict not entailed\n"
+            "fail tan2 3/5: verdict not entailed\n"
+            "fail tan2 4/5: verdict not entailed\n"
+            "scanned 10 angles with denominator <= 5\n"
+            "tan2: pole=1 exact=9 irrational=0\n"
+            "tan: pole=1 exact=3 irrational=6\n"
+            "cos2: pole=0 exact=6 irrational=4\n"
+            "cos: pole=0 exact=4 irrational=6\n"
+            "failures: 5\n"
+        )
     _assert_no_children()
 
 

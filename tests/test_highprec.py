@@ -537,6 +537,36 @@ def test_coarse_witness_changes_no_answer():
                     assert got == _oracle_crosscheck(r, f, claim, bits), (r, f, claim, bits)
 
 
+_CANDIDATES = [POLE, IRRATIONAL] + [
+    TrigVerdict.exact(Fraction(v))
+    for v in (0, 1, -1, 3, Fraction(1, 3), Fraction(1, 2), Fraction(-1, 2), Fraction(1, 4),
+              Fraction(3, 4))
+]
+
+
+def test_one_angle_crosscheck_matches_one_claim_at_a_time():
+    # scan cross-checks all four functions of an angle in one call, which
+    # folds once per family and shares the tan^2 tests between tan^2, tan
+    # and cos^2; each claim must get crosscheck's answer on that claim alone.
+    # The claims rotate, so every candidate meets every function and every
+    # call mixes kinds.  d/n runs over [-1, 2): two periods of tan and one of
+    # cos from 0, and negative numerators; past n = 4096, w0 = 2 bitlen(n) + 8
+    start = time.perf_counter()
+    angles = [(d, n) for n in range(1, 41) for d in range(-n, 2 * n) if gcd(d, n) == 1]
+    angles += [(d, n) for n in (4097, 8191, 3 * 2**12) for d in (1, n // 3, n // 2, -n - 2)
+               if gcd(d, n) == 1]
+    for d, n in angles:
+        r = Fraction(d, n)
+        claims = [[classify(r, f)] + _CANDIDATES for f in FUNCTIONS]
+        k = len(claims[0])
+        for bits in (8, 32, 128):
+            for j in range(k):
+                mixed = [(f, claims[i][(i + j) % k]) for i, f in enumerate(FUNCTIONS)]
+                got = highprec._crosscheck_angle(d, n, mixed, bits)
+                assert got == [crosscheck(r, f, v, bits) for f, v in mixed], (r, bits, mixed)
+    assert time.perf_counter() - start < 5
+
+
 def test_crosscheck_decides_on_large_inputs():
     # tan^2(pi/n) is about 10/n^2 off the exceptional value 0, so these need
     # about 2 bitlen(n) bits, past MAX_BITS for the first two: the claim is

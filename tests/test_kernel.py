@@ -122,7 +122,7 @@ def test_plain_forms_agree():
             for f in classifier.FUNCTIONS:
                 cert = certify(Fraction(d, n), f)
                 plain = kernel.parse(certificate_to_tree(cert))
-                assert plain == certifier._plain(cert.input, cert.function, cert.verdict)
+                assert plain == classifier._plain(d, n, cert.function, cert.verdict)
                 assert kernel.check(plain).ok
 
 
