@@ -6,9 +6,10 @@ fraction d/n, by n alone for tan^2 and cos^2 and by n with the residue of d
 mod n (tan) or mod 2n (cos) for the signed functions.  The rational values
 are scarce: tan^2 takes {0, 1, 1/3, 3}, tan takes {0, -1, 1}, cos takes
 {0, +-1, +-1/2} and cos^2 takes {0, 1, 1/2, 1/4, 3/4}; everything else is
-irrational.  classify reads one function's verdict off its table, and
-_verdicts all four of an angle's, on plain ints, for scan; _plain is the
-kernel's plain form of a claim, which verify_certificate and scan check.
+irrational.  _verdicts is the one reader of the tables: it gives an angle's
+four verdicts on plain ints, scan takes all four and classify (and so
+certify) takes its function's entry; _plain is the kernel's plain form of a
+claim, which verify_certificate and scan check.
 """
 
 from __future__ import annotations
@@ -93,31 +94,29 @@ def classify_tan_squared(r: Fraction | int) -> TrigVerdict:
 
     No fold: tan's period and parity keep the reduced denominator.
     """
-    return _TAN2_VERDICTS.get(as_fraction(r).denominator, IRRATIONAL)
+    return classify(r, "tan2")
 
 
 def classify_tan(r: Fraction | int) -> TrigVerdict:
     """tan(r*pi): exact only at denominators 1 and 4 (values 0 and +-1)."""
-    r = as_fraction(r)
-    return _TAN_VERDICTS.get((r.denominator, r.numerator % r.denominator), IRRATIONAL)
+    return classify(r, "tan")
 
 
 def classify_cos_squared(r: Fraction | int) -> TrigVerdict:
     """cos^2(r*pi) = 1/(1 + tan^2(r*pi)); the pole of tan^2 becomes the value 0."""
-    return _COS2_VERDICTS.get(as_fraction(r).denominator, IRRATIONAL)
+    return classify(r, "cos2")
 
 
 def classify_cos(r: Fraction | int) -> TrigVerdict:
     """cos(r*pi): exact only at reduced denominators 1, 2, 3."""
-    r = as_fraction(r)
-    return _COS_VERDICTS.get((r.denominator, r.numerator % (2 * r.denominator)), IRRATIONAL)
+    return classify(r, "cos")
 
 
 def _verdicts(num: int, den: int) -> tuple[TrigVerdict, TrigVerdict, TrigVerdict, TrigVerdict]:
     """The verdicts on tan^2, tan, cos^2 and cos (FUNCTIONS order) at num/den * pi.
 
     num/den is in lowest terms with den >= 1; the verdicts are read off the
-    same tables as classify's, by den and the residue of num.
+    tables by den and the residue of num.
     """
     return (
         _TAN2_VERDICTS.get(den, IRRATIONAL),
@@ -128,17 +127,10 @@ def _verdicts(num: int, den: int) -> tuple[TrigVerdict, TrigVerdict, TrigVerdict
 
 
 def classify(r: Fraction | int, function: str) -> TrigVerdict:
-    """Dispatch on one of the four function tags."""
+    """The verdict on one of the four function tags: its entry of _verdicts."""
     try:
-        fn = _DISPATCH[function]
-    except KeyError:
+        i = FUNCTIONS.index(function)
+    except ValueError:
         raise ValueError(f"unknown function {function!r}") from None
-    return fn(r)
-
-
-_DISPATCH = {
-    "tan2": classify_tan_squared,
-    "tan": classify_tan,
-    "cos2": classify_cos_squared,
-    "cos": classify_cos,
-}
+    r = as_fraction(r)
+    return _verdicts(r.numerator, r.denominator)[i]

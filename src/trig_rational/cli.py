@@ -113,15 +113,16 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from .kernel import verify_certificate_json
+    from .kernel import MAX_BYTES, verify_certificate_json
 
-    # bytes from both sources, so bad UTF-8 is a verification failure
+    # bytes from both sources, so bad UTF-8 is a verification failure; one
+    # byte past the cap is enough for the kernel to reject an oversized input
     if args.file is None or args.file == "-":
-        data = getattr(sys.stdin, "buffer", sys.stdin).read()
+        data = getattr(sys.stdin, "buffer", sys.stdin).read(MAX_BYTES + 1)
     else:
         try:
             with open(args.file, "rb") as fh:
-                data = fh.read()
+                data = fh.read(MAX_BYTES + 1)
         except OSError as e:
             raise ValueError(f"cannot read {args.file}: {e}") from None
     result = verify_certificate_json(data)

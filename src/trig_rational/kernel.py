@@ -5,6 +5,8 @@ package, so a certificate can be checked without the code that made it.
 ``parse`` turns a JSON tree of the version-5 wire format into a plain
 certificate, checking the tag and the exact key set of each object; a format
 error starts with the JSON path that failed, such as ``verdict.value``.
+``verify_certificate_json`` rejects text longer than ``MAX_BYTES`` before it
+decodes it, since no certificate comes near that size.
 ``check`` decides whether the verdict a certificate claims is the one that
 facts 1-6 below give for its input and function.  A plain certificate is the
 wire tree with every object a tuple, its tag first and its fields after it in
@@ -66,10 +68,15 @@ __all__ = [
     "parse",
     "check",
     "verify_certificate_json",
+    "MAX_BYTES",
 ]
 
 WIRE_VERSION = 5
 FUNCTIONS = ("tan2", "tan", "cos2", "cos")
+# The longest certificate: its two rationals have at most the int-to-str
+# limit's 4,300 digits each, so with the fixed envelope it is 8,684 bytes;
+# the cap leaves about twice that.
+MAX_BYTES = 16384
 
 
 class CertificateFormatError(ValueError):
@@ -108,8 +115,16 @@ class VerificationResult:
 def verify_certificate_json(text: str | bytes) -> VerificationResult:
     """Parse and check; malformed input is a verification failure, not a crash.
 
-    Bytes are read as UTF-8.
+    Bytes are read as UTF-8.  Input longer than MAX_BYTES, counted in UTF-8
+    bytes, fails before anything is decoded.
     """
+    # a str of more than MAX_BYTES characters has more than MAX_BYTES bytes
+    if isinstance(text, str) and len(text) <= MAX_BYTES:
+        size = len(text.encode("utf-8", "surrogatepass"))
+    else:
+        size = len(text)
+    if size > MAX_BYTES:
+        return _TOO_LARGE
     try:
         cert = parse(loads(text))
     except CertificateFormatError as e:
@@ -186,6 +201,7 @@ def _rat(v: object, where: str) -> tuple[int, int]:
 
 
 _OK, _NOT_ENTAILED = VerificationResult(True), VerificationResult(False, "verdict not entailed")
+_TOO_LARGE = VerificationResult(False, f"certificate: larger than {MAX_BYTES} bytes")
 _POLE, _IRRATIONAL = ("pole",), ("irrational",)
 # tan^2 at the base denominators (fact 1)
 _TAN2 = {1: ("exact", (0, 1)), 2: _POLE, 3: ("exact", (3, 1)), 4: ("exact", (1, 1)),

@@ -1,8 +1,8 @@
 """The scan command: classify and check every reduced angle up to a denominator.
 
 Scan works one angle at a time on plain ints (d, n): one call reads the
-four verdicts off the classifier's residue tables (classifier._verdicts),
-and the kernel checks the plain form of each claim (classifier._plain), so
+four verdicts off the classifier's tables (classifier._verdicts, the reader
+that classify and certify go through too), and the kernel checks the plain form of each claim (classifier._plain), so
 scan builds no Fraction or Certificate record and loads neither certifier.py
 nor angle.py; a wrong classifier still fails with "verdict not entailed".
 With the cross-check, highprec checks the four claims of the angle in one

@@ -711,8 +711,11 @@ def test_format_errors_name_the_json_path():
         kernel.parse(tree)
     assert str(e.value) == "verdict: fields must be exactly ['kind'], got [\"('kind',)\", 'kind']"
     # text that is not JSON fails before there is a tree to name a path in
-    for text in ("not json", b"\xff{", "[" * 100000 + "]" * 100000):
+    for text in ("not json", b"\xff{", "[" * 2000 + "]" * 2000):
         assert verify_certificate_json(text).reason.startswith("invalid JSON: "), text[:5]
+    # text past the size cap fails on its size before it is decoded
+    text = "[" * 100000 + "]" * 100000
+    assert verify_certificate_json(text).reason == "certificate: larger than 16384 bytes"
     # over the int-from-string digit limit, at its default
     if hasattr(sys, "set_int_max_str_digits"):
         old = sys.get_int_max_str_digits()

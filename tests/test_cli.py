@@ -352,6 +352,45 @@ def test_verify_command_hostile_input(capsys, monkeypatch):
         assert capsys.readouterr().out.startswith("fail:")
 
 
+def test_verify_command_reads_one_byte_past_the_cap(tmp_path, capsys):
+    # a valid certificate padded with spaces to the kernel's cap passes, and
+    # one byte more fails on its size
+    from trig_rational.kernel import MAX_BYTES
+
+    text = to_json(certify(Fraction(1, 15)))
+    path = tmp_path / "cert.json"
+    path.write_text(text + " " * (MAX_BYTES - len(text)))
+    assert run(["verify", str(path)]) == 0
+    assert capsys.readouterr().out == "pass\n"
+    path.write_text(text + " " * (MAX_BYTES + 1 - len(text)))
+    assert run(["verify", str(path)]) == 1
+    assert capsys.readouterr().out == "fail: certificate: larger than 16384 bytes\n"
+
+
+def test_verify_reads_no_more_than_the_cap_from_stdin():
+    # 100 MB on stdin, with the child's address space capped far below what
+    # holding it would take: verify reads one byte past the cap and stops
+    import resource
+
+    limit = 64 * 2**20
+    chunk = b" " * 10**6
+    with subprocess.Popen(
+        _module_cmd("verify"), stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, bufsize=0,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    ) as proc:
+        try:
+            proc.stdin.write(to_json(certify(Fraction(1, 15))).encode())
+            for _ in range(100):
+                proc.stdin.write(chunk)
+        except BrokenPipeError:  # verify has stopped reading
+            pass
+        proc.stdin.close()
+        out, err = proc.stdout.read(), proc.stderr.read()
+        assert proc.wait(timeout=30) == 1
+    assert (out, err) == (b"fail: certificate: larger than 16384 bytes\n", b"")
+
+
 def test_verify_command_bad_utf8(tmp_path, capsys, monkeypatch):
     # bytes that are not UTF-8 fail verification the same way from a file and
     # from stdin: exit 1, not a usage error
@@ -392,9 +431,10 @@ def test_scan_with_crosscheck(capsys):
 
 
 def test_scan_catches_a_wrong_classifier(capsys, monkeypatch):
-    # certify and scan both read their verdicts off the classifier's residue
-    # tables, patched here, and the kernel derives the verdict from the input
-    # alone, so a wrong table entry fails certify and every angle it covers
+    # classify, certify and scan all read their verdicts through
+    # classifier._verdicts, off the tables patched here, and the kernel derives
+    # the verdict from the input alone, so a wrong table entry fails certify
+    # and every angle it covers
     from trig_rational import classifier
     from trig_rational.certifier import verify_certificate
     from trig_rational.classifier import TrigVerdict
@@ -406,6 +446,14 @@ def test_scan_catches_a_wrong_classifier(capsys, monkeypatch):
     assert "fail tan2 1/5: verdict not entailed\n" in out
     assert out.startswith("".join(f"fail tan2 {d}/5: verdict not entailed\n" for d in range(1, 5)))
     assert out.endswith("failures: 4\n")
+    # a residue-keyed entry: classify, certify and scan read it the same way
+    monkeypatch.setitem(classifier._COS_VERDICTS, (3, 1), TrigVerdict.exact(Fraction(-1, 2)))
+    assert classifier.classify(Fraction(1, 3), "cos") == TrigVerdict.exact(Fraction(-1, 2))
+    assert verify_certificate(certify(Fraction(1, 3), "cos")).reason == "verdict not entailed"
+    assert run(["scan", "--max-den", "3"]) == 1
+    out = capsys.readouterr().out
+    assert "fail cos 1/3: verdict not entailed\n" in out
+    assert out.endswith("failures: 1\n")
 
 
 def test_scan_builds_no_certificate_record(capsys, monkeypatch):

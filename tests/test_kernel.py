@@ -112,6 +112,33 @@ def test_verification_result_api():
     assert pickle.loads(pickle.dumps(bad)) == bad
 
 
+_TOO_LARGE = "certificate: larger than 16384 bytes"
+
+
+def test_largest_certificate_verifies():
+    # numerator and denominator at the int-to-str limit of 4,300 digits, the
+    # numerator negative, the longest function tag and the longest verdict
+    text = to_json(certify(Fraction(-(10**4300 - 1), 10**4300 - 2), "tan2"))
+    assert len(text.encode()) == 8684 < kernel.MAX_BYTES
+    assert kernel.verify_certificate_json(text).ok
+    assert kernel.verify_certificate_json(text.encode()).ok
+
+
+def test_size_cap_is_exact_in_utf8_bytes():
+    text = to_json(certify(Fraction(1, 15)))
+    padded = text + " " * (kernel.MAX_BYTES - len(text))
+    for data in (padded, padded.encode()):
+        assert kernel.verify_certificate_json(data).ok
+        assert kernel.verify_certificate_json(data + data[-1:]) == (
+            kernel.VerificationResult(False, _TOO_LARGE))
+    # counted in UTF-8 bytes, not characters: one two-byte character makes
+    # MAX_BYTES characters one byte too many
+    assert kernel.verify_certificate_json("é" + padded[1:]).reason == _TOO_LARGE
+    assert kernel.verify_certificate_json("é" + padded[2:]).reason.startswith("invalid JSON")
+    # a lone surrogate is counted too, and decoded as before
+    assert kernel.verify_certificate_json('"\ud800"').reason == "certificate: expected an object"
+
+
 def test_plain_forms_agree():
     # the kernel parses the wire tree to the same plain form that
     # verify_certificate builds from the certificate records
