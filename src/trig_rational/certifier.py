@@ -193,6 +193,7 @@ def to_json(cert: Certificate) -> str:
 
 
 def from_json(text: str | bytes) -> Certificate:
+    """Inverse of to_json; text over kernel.MAX_BYTES is a CertificateFormatError too."""
     from .kernel import loads
 
     return certificate_from_tree(loads(text))

@@ -22,14 +22,14 @@ at lower ones by construction.  The public evaluators return it as a
 RatInterval; the cross-check never builds one and compares values p/q with
 it by cross-multiplying integers, an irrational claim on the coarsest
 enclosure that settles it.  It takes the claims of one angle together
-(_crosscheck_angle: scan passes all four, `crosscheck` one): the angle is
-folded once for tan and once for cos, with exact_core's integer folds, so no
-angle module is loaded, and one test of the tan^2 enclosure decides every
-irrational tan^2, tan and cos^2 claim.  Three bounded LRU caches hold the
-work: pi per scale; the raw cos enclosure per angle folded into [0, 1/2] and
-bits, which cos negates and snaps per sign and tan^2 divides; and the tan^2
-centre per angle folded into [0, 1/2] and bits, which tan^2, tan and cos^2
-share.
+(_crosscheck_angle: scan passes all four, `crosscheck` one), with one rule
+per kind of claim: the angle is folded once for tan, and for cos only in a
+cos claim, with exact_core's integer folds, so no angle module is loaded,
+and one test of the tan^2 enclosure decides every irrational tan^2, tan and
+cos^2 claim.  Three bounded LRU caches hold the work: pi per scale; the raw
+cos enclosure per angle folded into [0, 1/2] and bits, which cos negates and
+snaps per sign and tan^2 divides; and the tan^2 centre per angle folded into
+[0, 1/2] and bits, which tan^2, tan and cos^2 share.
 """
 
 from __future__ import annotations
@@ -378,54 +378,41 @@ def crosscheck(
 def _crosscheck_angle(num: int, den: int, claims: Iterable, bits: int) -> list[bool]:
     """crosscheck of each claim (function, verdict) on the angle num/den.
 
-    num/den is in lowest terms with den >= 1, and each function is one of
-    FUNCTIONS.  The angle is folded once for tan and once for cos.  One test
-    of the tan^2 enclosure at w0 against 0, 1, 1/3 and 3 decides every
-    irrational tan^2, tan and cos^2 claim; an exact one becomes the tan^2
-    value it implies, read on the tan^2 enclosure at bits.  cos is checked
-    on its own enclosure.
+    num/den is in lowest terms with den >= 1; each function is in FUNCTIONS.
+    tan is folded once, cos only in a cos claim.  One rule per kind: at tan's
+    pole (n = 2) tan^2 and tan claim the pole and cos^2 exact 0, and any other
+    pole claim fails; an irrational claim's enclosure at w0 holds no
+    exceptional value (one tan^2 test serves tan^2, tan and cos^2); an exact
+    claim's value, mapped onto its family's enclosure at bits, lies in it.
     """
     w0 = max(32, 2 * den.bit_length() + 8)
     d, n, sign = _tan_fold(num, den)
     held = None  # the first exceptional tan^2 value that the enclosure at w0 holds
     results = []
     for function, verdict in claims:
-        kind = verdict.kind
-        if function == "cos":
-            if kind == "pole":
-                ok = False
-            else:
-                cd, cn = _cos_fold(num, den)
-                if kind != "exact":
-                    held_cos = _first_held(_cos_centre(cd, cn, w0), w0, _EXCEPTIONAL_COS)
-                    ok = held_cos == len(_EXCEPTIONAL_COS)
-                else:
-                    v = as_fraction(verdict.value)
-                    c = _cos_centre(cd, cn, bits)
-                    ok = _first_held(c, bits, ((v.numerator, v.denominator),)) == 0
-        elif n == 2:
-            if function == "cos2":
-                ok = kind == "exact" and verdict.value == 0
-            else:
-                ok = kind == "pole"
-        elif kind == "pole":
-            ok = False
+        kind, cos = verdict.kind, function == "cos"
+        if kind == "pole":  # only tan^2 and tan have one
+            ok = n == 2 and function in ("tan2", "tan")
+        elif n == 2 and not cos:  # and cos^2 is exactly 0 at it
+            ok = function == "cos2" and verdict.value == 0
+        elif kind != "exact" and cos:
+            cd, cn = _cos_fold(num, den)  # unpacked: a starred call is slower, and runs per angle
+            c = _cos_centre(cd, cn, w0)
+            ok = _first_held(c, w0, _EXCEPTIONAL_COS) == len(_EXCEPTIONAL_COS)
         elif kind != "exact":
             if held is None:
                 held = _first_held(_tan2_centre(d, n, w0), w0, _EXCEPTIONAL_TAN2)
             ok = held >= (2 if function == "tan" else len(_EXCEPTIONAL_TAN2))
         else:
             v = as_fraction(verdict.value)
-            p, q = v.numerator, v.denominator
+            ok, p, q = True, v.numerator, v.denominator
             if function == "cos2":  # cos^2 = p/q is tan^2 = (q - p)/p
-                ok = p > 0
-                p, q = q - p, p
+                ok, p, q = p > 0, q - p, p
             elif function == "tan":
-                ok = p == 0 or (p > 0) == (sign > 0)
-                p, q = p * p, q * q
-            else:
-                ok = True
-            ok = ok and _first_held(_tan2_centre(d, n, bits), bits, ((p, q),)) == 0
+                ok, p, q = p == 0 or (p > 0) == (sign > 0), p * p, q * q
+            if ok:
+                c = _cos_centre(*_cos_fold(num, den), bits) if cos else _tan2_centre(d, n, bits)
+                ok = _first_held(c, bits, ((p, q),)) == 0
         results.append(ok)
     return results
 

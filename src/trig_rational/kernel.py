@@ -5,8 +5,8 @@ package, so a certificate can be checked without the code that made it.
 ``parse`` turns a JSON tree of the version-5 wire format into a plain
 certificate, checking the tag and the exact key set of each object; a format
 error starts with the JSON path that failed, such as ``verdict.value``.
-``verify_certificate_json`` rejects text longer than ``MAX_BYTES`` before it
-decodes it, since no certificate comes near that size.
+``loads``, which both readers of JSON text use, rejects text longer than
+``MAX_BYTES`` before it decodes it, since no certificate comes near that size.
 ``check`` decides whether the verdict a certificate claims is the one that
 facts 1-6 below give for its input and function.  A plain certificate is the
 wire tree with every object a tuple, its tag first and its fields after it in
@@ -113,18 +113,7 @@ class VerificationResult:
 
 
 def verify_certificate_json(text: str | bytes) -> VerificationResult:
-    """Parse and check; malformed input is a verification failure, not a crash.
-
-    Bytes are read as UTF-8.  Input longer than MAX_BYTES, counted in UTF-8
-    bytes, fails before anything is decoded.
-    """
-    # a str of more than MAX_BYTES characters has more than MAX_BYTES bytes
-    if isinstance(text, str) and len(text) <= MAX_BYTES:
-        size = len(text.encode("utf-8", "surrogatepass"))
-    else:
-        size = len(text)
-    if size > MAX_BYTES:
-        return _TOO_LARGE
+    """Parse and check; malformed input is a verification failure, not a crash."""
     try:
         cert = parse(loads(text))
     except CertificateFormatError as e:
@@ -136,7 +125,18 @@ def verify_certificate_json(text: str | bytes) -> VerificationResult:
 
 
 def loads(text: str | bytes) -> object:
-    """json.loads, with bad UTF-8, huge int literals and deep nesting as format errors."""
+    """json.loads, with bad UTF-8, huge int literals and deep nesting as format errors.
+
+    Bytes are read as UTF-8.  Input longer than MAX_BYTES, counted in UTF-8
+    bytes, fails before anything is decoded.
+    """
+    # a str of more than MAX_BYTES characters has more than MAX_BYTES bytes
+    if isinstance(text, str) and len(text) <= MAX_BYTES:
+        size = len(text.encode("utf-8", "surrogatepass"))
+    else:
+        size = len(text)
+    if size > MAX_BYTES:
+        raise CertificateFormatError(f"certificate: larger than {MAX_BYTES} bytes")
     try:
         return json.loads(text.decode() if isinstance(text, bytes) else text)
     except (ValueError, RecursionError) as e:
@@ -201,7 +201,6 @@ def _rat(v: object, where: str) -> tuple[int, int]:
 
 
 _OK, _NOT_ENTAILED = VerificationResult(True), VerificationResult(False, "verdict not entailed")
-_TOO_LARGE = VerificationResult(False, f"certificate: larger than {MAX_BYTES} bytes")
 _POLE, _IRRATIONAL = ("pole",), ("irrational",)
 # tan^2 at the base denominators (fact 1)
 _TAN2 = {1: ("exact", (0, 1)), 2: _POLE, 3: ("exact", (3, 1)), 4: ("exact", (1, 1)),

@@ -2,9 +2,10 @@
 
 Scan works one angle at a time on plain ints (d, n): one call reads the
 four verdicts off the classifier's tables (classifier._verdicts, the reader
-that classify and certify go through too), and the kernel checks the plain form of each claim (classifier._plain), so
-scan builds no Fraction or Certificate record and loads neither certifier.py
-nor angle.py; a wrong classifier still fails with "verdict not entailed".
+that classify and certify go through too), and the kernel checks the plain
+form of each claim (classifier._plain), so scan builds no Fraction or
+Certificate record and loads neither certifier.py nor angle.py; a wrong
+classifier still fails with "verdict not entailed".
 With the cross-check, highprec checks the four claims of the angle in one
 call too (highprec._crosscheck_angle).  A claim the kernel rejects is
 reported once, as the kernel's failure; an angle's lines follow FUNCTIONS.

@@ -733,6 +733,21 @@ def test_format_errors_name_the_json_path():
             sys.set_int_max_str_digits(old)
 
 
+def test_from_json_shares_the_size_cap():
+    # both readers of JSON text go through kernel.loads, so they accept and
+    # reject the same sizes with the same message
+    cert = certify(Fraction(1, 15))
+    text = to_json(cert)
+    padded = text + " " * (kernel.MAX_BYTES - len(text))
+    assert len(padded.encode()) == 16384
+    for data in (padded, padded.encode()):
+        assert from_json(data) == cert
+        with pytest.raises(CertificateFormatError) as e:
+            from_json(data + data[-1:])
+        assert str(e.value) == "certificate: larger than 16384 bytes"
+        assert verify_certificate_json(data + data[-1:]).reason == str(e.value)
+
+
 def test_wire_bytes_are_pinned():
     # every reduced angle with denominator <= 30, all four functions: every
     # verdict kind, byte for byte.  The digest is that of the version-4
