@@ -138,12 +138,7 @@ def doubling_chain(start: ReducedAngle, stop_den: int) -> DoublingChain:
     angles = [start]
     d, n = start.d, start.n
     while n > stop_den:
-        n //= 2
-        d %= n
-        if 2 * d > n:
-            d = n - d
-        if d == 0:
-            n = 1
+        d, n, _ = _tan_fold(d, n // 2)
         angles.append(ReducedAngle(d, n))
     return DoublingChain(tuple(angles))
 

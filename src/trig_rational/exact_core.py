@@ -71,8 +71,6 @@ def _tan_fold(num: int, den: int) -> tuple[int, int, int]:
     and the pole 1/2 is kept as is.
     """
     num %= den
-    if num == 0:
-        return 0, 1, 1
     if 2 * num > den:
         return den - num, den, -1
     return num, den, 1
@@ -83,10 +81,6 @@ def _cos_fold(num: int, den: int) -> tuple[int, int]:
     num %= 2 * den
     if num > den:
         num = 2 * den - num
-    if num == 0:
-        return 0, 1
-    if num == den:
-        return 1, 1
     return num, den
 
 

@@ -247,13 +247,13 @@ def _tan2_centre(d: int, n: int, bits: int) -> int:
 def eval_cos(angle: ReducedAngle | Fraction | int, bits: int) -> RatInterval:
     """Certified enclosure of cos(angle * pi), width 2^-bits, bits in [MIN_BITS, MAX_BITS]."""
     _check_bits(bits)
-    d, n = _cos_fold(*_ratio(angle))
-    return _published(_cos_centre(d, n, bits), bits)
+    return _published(_cos_centre(*_ratio(angle), bits), bits)
 
 
-def _cos_centre(d: int, n: int, bits: int) -> int:
-    # cos((1 - x) pi) = -cos(x pi); the raw enclosure is negated before it
-    # is snapped, so a tie rounds up on both sides of the fold
+def _cos_centre(num: int, den: int, bits: int) -> int:
+    # folded into [0, 1]; past 1/2, cos((1 - x) pi) = -cos(x pi), and the raw
+    # enclosure is negated before it is snapped, so a tie rounds up either side
+    d, n = _cos_fold(num, den)
     if 2 * d > n:
         lo, hi, w = _cos_raw(n - d, n, bits)
         return _centre(-hi, -lo, w, bits)
@@ -396,8 +396,7 @@ def _crosscheck_angle(num: int, den: int, claims: Iterable, bits: int) -> list[b
         elif n == 2 and not cos:  # and cos^2 is exactly 0 at it
             ok = function == "cos2" and verdict.value == 0
         elif kind != "exact" and cos:
-            cd, cn = _cos_fold(num, den)  # unpacked: a starred call is slower, and runs per angle
-            c = _cos_centre(cd, cn, w0)
+            c = _cos_centre(num, den, w0)
             ok = _first_held(c, w0, _EXCEPTIONAL_COS) == len(_EXCEPTIONAL_COS)
         elif kind != "exact":
             if held is None:
@@ -411,7 +410,7 @@ def _crosscheck_angle(num: int, den: int, claims: Iterable, bits: int) -> list[b
             elif function == "tan":
                 ok, p, q = p == 0 or (p > 0) == (sign > 0), p * p, q * q
             if ok:
-                c = _cos_centre(*_cos_fold(num, den), bits) if cos else _tan2_centre(d, n, bits)
+                c = _cos_centre(num, den, bits) if cos else _tan2_centre(d, n, bits)
                 ok = _first_held(c, bits, ((p, q),)) == 0
         results.append(ok)
     return results

@@ -212,6 +212,13 @@ def test_doubling_chain_examples():
         Fraction(1, 6),
         Fraction(1, 3),
     ]
+    # through tan's pole 1/2, whose double 1 folds to 0/1
+    for start, chain in (
+        (ReducedAngle(1, 8), ((1, 8), (1, 4), (1, 2), (0, 1))),
+        (ReducedAngle(3, 16), ((3, 16), (3, 8), (1, 4), (1, 2), (0, 1))),
+        (ReducedAngle(1, 2), ((1, 2), (0, 1))),
+    ):
+        assert doubling_chain(start, 1).angles == tuple(ReducedAngle(d, n) for d, n in chain)
 
 
 def test_doubling_chain_preconditions():

@@ -441,6 +441,9 @@ def test_scan_catches_a_wrong_classifier(capsys, monkeypatch):
 
     monkeypatch.setitem(classifier._TAN2_VERDICTS, 5, TrigVerdict.exact(3))
     assert verify_certificate(certify(Fraction(1, 5))).reason == "verdict not entailed"
+    # certify --verify then prints no certificate
+    assert run(["certify", "1/5", "--verify"]) == 1
+    assert capsys.readouterr() == ("", "verification failed: verdict not entailed\n")
     assert run(["scan", "--max-den", "5"]) == 1
     out = capsys.readouterr().out
     assert "fail tan2 1/5: verdict not entailed\n" in out

@@ -324,6 +324,9 @@ def test_interval_eval_encloses_exact_values():
         for _ in range(5):
             x = a + (b - a) * Fraction(rng.randrange(0, 101), 100)
             assert img.lo <= p.eval(x) <= img.hi
+    # the zero polynomial, which the random coefficients never give
+    zero = interval_eval(IntPolynomial(()), RatInterval(Fraction(0), Fraction(1)), 96)
+    assert zero == RatInterval(Fraction(0), Fraction(0))
 
 
 def test_eval_poly_at_tan_squared_root_case():
