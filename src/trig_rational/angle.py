@@ -128,7 +128,8 @@ def doubling_chain(start: ReducedAngle, stop_den: int) -> DoublingChain:
     """Angle doublings from start down to denominator stop_den.
 
     Doubling d/n halves the denominator while it is even, so start.n must be
-    stop_den times a power of two.  Every angle is folded into [0, 1/2].
+    stop_den times a power of two.  The start is kept as given; every
+    doubling is folded into [0, 1/2].
     """
     if stop_den < 1 or start.n % stop_den != 0:
         raise ValueError(f"{stop_den} does not divide denominator {start.n}")

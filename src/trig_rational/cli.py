@@ -77,20 +77,20 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
     r = _parse_angle(args.angle)
     verdict = classify(r, args.function)
+    angle = _human_angle(r, args.function)
     if args.json:
         import json
 
-        from .certifier import verdict_to_tree
+        from .certifier import _rat, verdict_to_tree
 
         tree = {
-            "input": f"{r.numerator}/{r.denominator}",
+            "input": _rat(r),
             "function": args.function,
-            "reduced": _human_angle(r, args.function),
+            "reduced": angle,
             "verdict": verdict_to_tree(verdict),
         }
         print(json.dumps(tree, sort_keys=True))
     else:
-        angle = _human_angle(r, args.function)
         text = f"exact {verdict.value}" if verdict.kind == "exact" else verdict.kind
         print(f"{args.function}({angle} pi): {text}")
     return 0

@@ -292,10 +292,8 @@ def interval_eval(p: IntPolynomial, iv: RatInterval, bits: int) -> RatInterval:
     w = bits
     lo = (iv.lo.numerator << w) // iv.lo.denominator
     hi = _ceil_div(iv.hi.numerator << w, iv.hi.denominator)
-    if p.is_zero:
-        return RatInterval(Fraction(0), Fraction(0))
-    acc_lo = acc_hi = p.coeffs[-1] << w
-    for c in reversed(p.coeffs[:-1]):
+    acc_lo = acc_hi = 0
+    for c in reversed(p.coeffs):
         prods = (acc_lo * lo, acc_lo * hi, acc_hi * lo, acc_hi * hi)
         acc_lo = (min(prods) >> w) + (c << w)
         acc_hi = -((-max(prods)) >> w) + (c << w)
@@ -313,7 +311,7 @@ def eval_poly_at_tan_squared(
     that would pass MAX_BITS raises ValueError.
     """
     _check_bits(bits)
-    target = Fraction(_tan_fold(*_ratio(angle))[1] ** 3, 1 << (bits - 8))
+    target = Fraction(_ratio(angle)[1] ** 3, 1 << (bits - 8))
     b = bits
     while True:
         iv = eval_tan_squared(angle, b)

@@ -125,20 +125,19 @@ def rational_roots(p: IntPolynomial) -> list[Fraction]:
     cs = p.coeffs[k:]
     if len(cs) > 1:
         c0, lead = abs(cs[0]), abs(cs[-1])
-        deg = len(cs) - 1
         for a in divisors(c0):
             for b in divisors(lead):
                 if gcd(a, b) != 1:
                     continue
-                if _eval_scaled(cs, a, b, deg) == 0:
+                if _eval_scaled(cs, a, b) == 0:
                     roots.add(Fraction(a, b))
-                if _eval_scaled(cs, -a, b, deg) == 0:
+                if _eval_scaled(cs, -a, b) == 0:
                     roots.add(Fraction(-a, b))
     return sorted(roots)
 
 
-def _eval_scaled(cs: tuple[int, ...], a: int, b: int, deg: int) -> int:
-    # p(a/b) * b^deg, all integer arithmetic
+def _eval_scaled(cs: tuple[int, ...], a: int, b: int) -> int:
+    # p(a/b) * b^(len(cs) - 1), all integer arithmetic
     acc = 0
     bp = 1
     for c in reversed(cs):

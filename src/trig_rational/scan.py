@@ -36,9 +36,7 @@ _UNCHECKED = (True,) * len(FUNCTIONS)  # the cross-check results without a cross
 
 
 def _numerators(n: int) -> list[int]:
-    if n == 1:
-        return [0]
-    return [d for d in range(1, n) if gcd(d, n) == 1]
+    return [d for d in range(n) if gcd(d, n) == 1]
 
 
 def _scan_denominator(n: int, check_numerics: bool, bits: int) -> tuple[dict, list[str]]:

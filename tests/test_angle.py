@@ -217,6 +217,9 @@ def test_doubling_chain_examples():
         (ReducedAngle(1, 8), ((1, 8), (1, 4), (1, 2), (0, 1))),
         (ReducedAngle(3, 16), ((3, 16), (3, 8), (1, 4), (1, 2), (0, 1))),
         (ReducedAngle(1, 2), ((1, 2), (0, 1))),
+        # the start is kept as given; only its doublings are folded
+        (ReducedAngle(3, 4), ((3, 4), (1, 2), (0, 1))),
+        (ReducedAngle(5, 4), ((5, 4), (1, 2), (0, 1))),
     ):
         assert doubling_chain(start, 1).angles == tuple(ReducedAngle(d, n) for d, n in chain)
 

@@ -334,6 +334,14 @@ def test_eval_poly_at_tan_squared_root_case():
     img = eval_poly_at_tan_squared(q7, Fraction(1, 7), 128)
     assert img.lo <= 0 <= img.hi
     assert img.width <= Fraction(7**3, 1 << 120)
+    # the target width reads only the reduced denominator: tan^2 takes one
+    # value at 2/7, 5/7, -2/7 and 9/7, so all six give one enclosure
+    angles = (Fraction(2, 7), Fraction(5, 7), Fraction(-2, 7), Fraction(9, 7))
+    angles += (ReducedAngle(2, 7), ReducedAngle(5, 7))
+    imgs = {eval_poly_at_tan_squared(q7, a, 64) for a in angles}
+    assert len(imgs) == 1
+    (img,) = imgs
+    assert img.lo <= 0 <= img.hi
 
 
 def test_eval_poly_at_tan_squared_nonroot_case():

@@ -132,11 +132,18 @@ def test_rational_roots_examples():
     assert rational_roots(IntPolynomial((-3, 1))) == [3]
 
 
-def test_rational_roots_zero_constant():
+def test_rational_roots_zero_constant(monkeypatch):
     # stripping powers of X keeps 0 as a root
     assert rational_roots(IntPolynomial((0, -1, 1))) == [0, 1]
     assert rational_roots(IntPolynomial((0, 0, 0, 1))) == [0]
+    # a nonzero constant has no root and lists no divisors, which for 10^30
+    # would take 10^15 trial divisions
+    def no_divisors(n):
+        raise AssertionError(f"divisors({n}) of a constant")
+
+    monkeypatch.setattr("trig_rational.polynomial.divisors", no_divisors)
     assert rational_roots(IntPolynomial((7,))) == []
+    assert rational_roots(IntPolynomial((10**30,))) == []
 
 
 def test_rational_roots_zero_polynomial():
